@@ -5,6 +5,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/random.h"
 #include "core/compose.h"
 #include "core/containment.h"
@@ -98,6 +101,38 @@ void BM_ProjectOnto(benchmark::State& state) {
                           static_cast<int64_t>(rows));
 }
 BENCHMARK(BM_ProjectOnto)->Arg(1000)->Arg(10000);
+
+void BM_StreamedJoin(benchmark::State& state) {
+  // A peer's streaming join (§6): the local table is indexed once, then
+  // every 64-row batch streamed in from downstream probes the index.  One
+  // iteration streams the whole right table through.
+  size_t rows = static_cast<size_t>(state.range(0));
+  FreeTable local = FreeTable::FromMappingTable(ChainTable(rows, "a", "b"));
+  FreeTable incoming =
+      FreeTable::FromMappingTable(ChainTable(rows, "b", "c"));
+  std::vector<std::vector<Mapping>> batches;
+  for (size_t i = 0; i < incoming.size(); i += 64) {
+    size_t end = std::min(incoming.size(), i + 64);
+    batches.emplace_back(incoming.rows().begin() + i,
+                         incoming.rows().begin() + end);
+  }
+  JoinIndex index = JoinIndex::Build(local, incoming.schema()).value();
+  for (auto _ : state) {
+    size_t joined = 0;
+    for (const std::vector<Mapping>& batch : batches) {
+      Status s = index.Join(local, batch, [&](size_t, Mapping row) {
+        benchmark::DoNotOptimize(row);
+        ++joined;
+        return Status::OK();
+      });
+      if (!s.ok()) state.SkipWithError(s.ToString().c_str());
+    }
+    benchmark::DoNotOptimize(joined);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(rows));
+}
+BENCHMARK(BM_StreamedJoin)->Arg(1000)->Arg(10000);
 
 void BM_ComposeConstraints(benchmark::State& state) {
   size_t rows = static_cast<size_t>(state.range(0));

@@ -254,8 +254,10 @@ Result<VersionedTable> ClusterTableSource::FetchOnce(
     std::vector<std::pair<ShardState*, bool>> sends;  // (shard, hedge?)
     Status terminal = Status::OK();
     const ShardState* exhausted = nullptr;
+    uint64_t seen_replies = 0;
     {
       MutexLock lock(mu_);
+      seen_replies = replies_;
       for (ShardState& st : states) {
         if (st.slot->done) {
           const ShardRowsMsg& response = st.slot->response;
@@ -358,13 +360,17 @@ Result<VersionedTable> ClusterTableSource::FetchOnce(
       for (auto& [st, hedge] : sends) SendAttempt(name, st, now, hedge);
       continue;  // recompute deadlines around the new attempts
     }
+    if (before_wait_hook_) before_wait_hook_();
     MutexLock lock(mu_);
-    // Notify and timeout both loop back to re-derive deadlines and
-    // completed slots from scratch.
-    const bool notified =
-        cv_.WaitFor(mu_, std::chrono::microseconds(
-                             std::max<int64_t>(next_wake - now, 1000)));
-    (void)notified;
+    // Wake on a reply newer than the scan (its count was read under the
+    // scan's lock, so a reply landing since then is not missed) or at the
+    // next deadline; both loop back to re-derive deadlines and completed
+    // slots from scratch.
+    const bool replied = cv_.WaitFor(
+        mu_,
+        std::chrono::microseconds(std::max<int64_t>(next_wake - now, 1000)),
+        [&]() REQUIRES(mu_) { return replies_ != seen_replies; });
+    (void)replied;
   }
   erase_pending();
 
@@ -425,7 +431,12 @@ void ClusterTableSource::OnShardRows(const ShardRowsMsg& msg) {
   if (it->second->done) return;      // a faster replica (or hedge) won
   it->second->response = msg;
   it->second->done = true;
+  ++replies_;
   cv_.NotifyAll();
+}
+
+void ClusterTableSource::SetBeforeWaitHookForTest(std::function<void()> hook) {
+  before_wait_hook_ = std::move(hook);
 }
 
 void ClusterTableSource::OnMemberDown(const std::string& node) {

@@ -45,6 +45,7 @@
 #define HYPERION_CLUSTER_REMOTE_TABLES_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -125,6 +126,11 @@ class ClusterTableSource : public TableSource {
   };
   std::vector<ShardStat> ShardStats() const;
 
+  /// \brief Test seam: `hook` runs on the fetching thread whenever a
+  /// fetch has scanned its shards, has nothing to send and is about to
+  /// wait for replies.  Set it before the first Fetch.
+  void SetBeforeWaitHookForTest(std::function<void()> hook);
+
  private:
   // One outstanding shard conversation, keyed by request id; retries and
   // hedges of the same shard share the slot, first completed response
@@ -184,6 +190,10 @@ class ClusterTableSource : public TableSource {
       GUARDED_BY(mu_);
   mutable std::map<std::string, CacheEntry> cache_ GUARDED_BY(mu_);
   mutable std::vector<ShardStat> stats_ GUARDED_BY(mu_);
+  // Replies accepted so far; a fetch waits for it to move past the count
+  // its last scan saw.
+  uint64_t replies_ GUARDED_BY(mu_) = 0;
+  std::function<void()> before_wait_hook_;
 };
 
 }  // namespace cluster

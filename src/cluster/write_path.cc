@@ -404,8 +404,10 @@ Result<ClusterTableSink::WriteReport> ClusterTableSink::Apply(
     int64_t now = SteadyNowUs();
     int64_t next_wake = deadline;
     std::vector<Target*> sends;
+    uint64_t seen_acks = 0;
     {
       MutexLock lock(mu_);
+      seen_acks = acks_;
       for (Target& t : targets) {
         if (t.acked || t.spent) continue;
         if (t.slot->done) {
@@ -492,13 +494,17 @@ Result<ClusterTableSink::WriteReport> ClusterTableSink::Apply(
       for (Target* t : sends) SendAttempt(t, now);
       continue;  // recompute deadlines around the new attempts
     }
+    if (before_wait_hook_) before_wait_hook_();
     MutexLock lock(mu_);
-    // Notify and timeout both loop back to re-derive deadlines and
+    // Wake on an ack newer than the scan (its count was read under the
+    // scan's lock, so an ack landing since then is not missed) or at the
+    // next deadline; both loop back to re-derive deadlines and
     // acknowledged targets from scratch.
-    const bool notified =
-        cv_.WaitFor(mu_, std::chrono::microseconds(
-                             std::max<int64_t>(next_wake - now, 1000)));
-    (void)notified;
+    const bool acked = cv_.WaitFor(
+        mu_,
+        std::chrono::microseconds(std::max<int64_t>(next_wake - now, 1000)),
+        [&]() REQUIRES(mu_) { return acks_ != seen_acks; });
+    (void)acked;
   }
   erase_pending();
 
@@ -547,7 +553,12 @@ void ClusterTableSink::OnWriteAck(const WriteAckMsg& msg) {
   if (it->second->done) return;      // an earlier attempt's ack won
   it->second->response = msg;
   it->second->done = true;
+  ++acks_;
   cv_.NotifyAll();
+}
+
+void ClusterTableSink::SetBeforeWaitHookForTest(std::function<void()> hook) {
+  before_wait_hook_ = std::move(hook);
 }
 
 }  // namespace cluster

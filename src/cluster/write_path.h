@@ -63,6 +63,7 @@
 #define HYPERION_CLUSTER_WRITE_PATH_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -187,6 +188,11 @@ class ClusterTableSink {
   /// floor stamped onto the next write's slices.
   uint64_t committed_sequence() const;
 
+  /// \brief Test seam: `hook` runs on the applying thread whenever a
+  /// write has scanned its targets, has nothing to send and is about to
+  /// wait for acks.  Set it before the first Apply.
+  void SetBeforeWaitHookForTest(std::function<void()> hook);
+
  private:
   struct Pending {
     WriteAckMsg response;
@@ -235,6 +241,10 @@ class ClusterTableSink {
   // Sequence of the last write that met its quorum (<= write_seq_).
   uint64_t committed_seq_ GUARDED_BY(mu_) = 0;
   std::map<uint64_t, std::shared_ptr<Pending>> pending_ GUARDED_BY(mu_);
+  // Acks accepted so far; a write waits for it to move past the count its
+  // last scan saw.
+  uint64_t acks_ GUARDED_BY(mu_) = 0;
+  std::function<void()> before_wait_hook_;
 };
 
 }  // namespace cluster

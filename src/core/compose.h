@@ -11,8 +11,10 @@
 #ifndef HYPERION_CORE_COMPOSE_H_
 #define HYPERION_CORE_COMPOSE_H_
 
+#include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -37,6 +39,10 @@ struct ComposeOptions {
 
 /// \brief A set of free tuples over one schema — a mapping table without
 /// the X|Y split.  Intermediate results of cover computation live here.
+///
+/// Every row is stored once, normalized and satisfiable; duplicates are
+/// found through an open-addressing hash index of positions into the row
+/// vector.
 class FreeTable {
  public:
   FreeTable() = default;
@@ -52,15 +58,21 @@ class FreeTable {
   /// row was actually inserted (false for duplicates and empty rows).
   bool AddRow(Mapping row);
 
-  bool ContainsRow(const Mapping& row) const {
-    return row_set_.count(row.Normalized()) > 0;
-  }
+  /// \brief Whether a row equal to `row` up to variable renaming is here.
+  bool ContainsRow(const Mapping& row) const;
 
   /// \brief Whether a valuation makes some row match the ground tuple.
   bool MatchesGround(const Tuple& t) const;
 
-  /// \brief View of a mapping table as a free table (same rows).
+  /// \brief View of a mapping table as a free table (same rows).  The rows
+  /// are adopted as they are: MappingTable::AddRow already normalized,
+  /// checked and deduplicated them.
   static FreeTable FromMappingTable(const MappingTable& table);
+
+  /// \brief Same, for `rows` drawn from `table.rows()` (a filtered subset,
+  /// in any order, each row at most once).
+  static FreeTable FromMappingTable(const MappingTable& table,
+                                    std::vector<Mapping> rows);
 
   /// \brief Splits the schema into the `x_names` attributes and the rest
   /// to produce a mapping table.  Fails when a name is missing or when
@@ -70,14 +82,15 @@ class FreeTable {
 
   /// \brief Natural join on attributes shared by name.  The output schema
   /// is this schema followed by `other`'s non-shared attributes.  The two
-  /// schemas must agree on shared attributes' domains by name.
+  /// schemas must agree on shared attributes' domains by name.  Runs the
+  /// JoinIndex kernel: this table is indexed, `other`'s rows probe it.
   Result<FreeTable> NaturalJoin(const FreeTable& other,
                                 const ComposeOptions& opts = {}) const;
 
   /// \brief Projection onto `names` (in that order).  Exact: variable
   /// classes spanning kept and dropped positions keep their accumulated
   /// exclusions, and classes restricted by finite domains on dropped
-  /// positions are materialized.
+  /// positions are materialized.  See RowProjector.
   Result<FreeTable> ProjectOnto(const std::vector<std::string>& names,
                                 const ComposeOptions& opts = {}) const;
 
@@ -95,9 +108,119 @@ class FreeTable {
   std::string ToString() const;
 
  private:
+  friend class RowProjector;
+
+  // Adds `row`, which must already be normalized and satisfiable over
+  // schema_, unless an equal row is present.  Returns whether it was added.
+  bool InsertNormalized(Mapping row);
+  // Position in rows_ of the row equal to normalized `row` (whose
+  // Mapping::Hash is `hash`), or rows_.size() when absent.
+  size_t Find(const Mapping& row, size_t hash) const;
+  // Slot of slots_ where probing for `hash` starts.
+  size_t HomeSlot(size_t hash) const;
+  // Rebuilds slots_ with room for at least twice the rows.
+  void Grow();
+
   Schema schema_;
   std::vector<Mapping> rows_;
-  std::unordered_set<Mapping, MappingHash> row_set_;
+  std::vector<size_t> hashes_;   // Mapping::Hash() of rows_[i]
+  std::vector<uint32_t> slots_;  // row position + 1; 0 marks an empty slot
+  uint32_t slot_shift_ = 64;     // 64 - log2(slots_.size())
+};
+
+/// \brief The natural-join kernel: a hash index over the rows of a left
+/// table, keyed on the attributes that table shares with a right schema.
+///
+/// Build it once and join it with any number of right-hand row batches —
+/// the streaming join of §6, where a peer's local table meets the rows
+/// arriving hop by hop.  Left rows whose shared cells are all constants
+/// are grouped by key; a right row with a ground key meets one group plus
+/// the left rows with variables in shared positions, so a batch costs
+/// O(batch + output) rather than O(|left|).  (A right row with a variable
+/// in a shared position pairs with every left row, as it must.)
+class JoinIndex {
+ public:
+  /// \brief Indexes `left`; fails when `left` and `right` share no
+  /// attribute.
+  static Result<JoinIndex> Build(const FreeTable& left, const Schema& right);
+
+  /// \brief Output schema: the left schema followed by the right
+  /// schema's non-shared attributes.
+  const Schema& schema() const { return out_schema_; }
+  /// \brief The right schema the index was built for.
+  const Schema& right_schema() const { return right_schema_; }
+
+  /// \brief Joins `right` (rows over right_schema()) with `left`, which
+  /// must be the table the index was built over, unchanged since.  Calls
+  /// `emit` with every joined row — normalized and satisfiable — and the
+  /// position of the left row it came from, in the order
+  /// left.NaturalJoin(right) lists the rows, but without removing
+  /// duplicates.  Stops at the first error `emit` returns.
+  Status Join(const FreeTable& left, const std::vector<Mapping>& right,
+              const std::function<Status(size_t, Mapping)>& emit) const;
+
+ private:
+  JoinIndex() = default;
+
+  static constexpr uint32_t kNoGroup = UINT32_MAX;
+
+  // Hash of the values in `row`'s shared cells (at the left or the right
+  // positions), or nullopt when one of those cells is a variable.
+  std::optional<size_t> KeyHash(const Mapping& row, bool left_side) const;
+  // Whether left row `a` and row `b` (a left row when `b_left_side`, else
+  // a right row) hold the same constants in the shared cells.
+  bool SameKey(const Mapping& a, const Mapping& b, bool b_left_side) const;
+  // Group of the left rows whose key equals right row `row`'s (its key
+  // hash is `hash`), or kNoGroup.
+  uint32_t FindGroup(const FreeTable& left, const Mapping& row,
+                     size_t hash) const;
+  // Unifies left row `a` with right row `b` on the shared attributes;
+  // nullopt when they do not join.
+  std::optional<Mapping> JoinPair(const FreeTable& left, const Mapping& a,
+                                  const Mapping& b) const;
+
+  Schema right_schema_;
+  Schema out_schema_;
+  std::vector<std::pair<size_t, size_t>> shared_;  // (left pos, right pos)
+  std::vector<size_t> right_private_;  // right positions not shared
+  // Left rows with ground keys, grouped by key: group g holds
+  // group_rows_[group_begin_[g] .. group_begin_[g + 1]), ascending.
+  std::vector<uint32_t> group_rows_;
+  std::vector<size_t> group_begin_;
+  std::vector<std::pair<size_t, uint32_t>> group_hashes_;  // sorted (hash, g)
+  std::vector<uint32_t> group_of_;  // per left row: its group or kNoGroup
+  std::vector<uint32_t> variable_rows_;  // left rows with variable keys
+};
+
+/// \brief Projection onto a list of attributes, one row at a time, so a
+/// caller can project rows as they are produced instead of collecting them
+/// first.
+class RowProjector {
+ public:
+  /// \brief Fails when a name is not in `from`.
+  static Result<RowProjector> Create(const Schema& from,
+                                     const std::vector<std::string>& names);
+
+  /// \brief Schema of the projected rows.
+  const Schema& schema() const { return schema_; }
+
+  /// \brief Adds the projection of `row` (a satisfiable, normalized row
+  /// over the `from` schema) to `out` (over schema()), deduplicating
+  /// against the rows already there.  The rows newly added are also
+  /// appended to `added` when it is not null.  Fails when `out` would
+  /// reach opts.max_result_rows or a class materialization exceeds
+  /// opts.materialize_limit.
+  Status Project(const Mapping& row, FreeTable* out,
+                 std::vector<Mapping>* added,
+                 const ComposeOptions& opts) const;
+
+ private:
+  RowProjector() = default;
+
+  Schema from_;
+  Schema schema_;
+  std::vector<size_t> keep_;
+  std::vector<bool> kept_;
 };
 
 /// \brief NaturalJoin when the schemas overlap, CartesianProduct when they
@@ -111,8 +234,7 @@ Result<FreeTable> JoinOrProduct(const FreeTable& a, const FreeTable& b,
 /// rows that can contribute to table ⋈ reducer.  Classic distributed-join
 /// preprocessing: reducing tables before the expensive join (or before
 /// shipping them) never changes the join result, proven by the oracle
-/// tests.  Ground shared-cells probe a hash index of `reducer`; rows with
-/// variables in shared positions fall back to pairwise unification tests.
+/// tests.  Runs the JoinIndex kernel over `table`.
 Result<FreeTable> SemiJoinReduce(const FreeTable& table,
                                  const FreeTable& reducer);
 

@@ -823,9 +823,7 @@ void PeerNode::OnComputePlan(const Message& msg) {
       if (fit != incoming_filters_.end()) filters = &fit->second;
     }
     auto reduced_table = [&](const MappingTable& t) {
-      FreeTable f(t.schema());
-      for (Mapping& row : ReducedRows(t, *filters)) f.AddRow(std::move(row));
-      return f;
+      return FreeTable::FromMappingTable(t, ReducedRows(t, *filters));
     };
     FreeTable local = reduced_table(members[0]->table());
     ComposeOptions compose;
@@ -884,37 +882,68 @@ Status PeerNode::ProcessRows(ParticipantState* state, size_t part_idx,
   ComposeOptions compose;
   compose.materialize_limit = state->spec.materialize_limit;
   compose.max_result_rows = state->spec.max_result_rows;
-  FreeTable joined;
-  bool have_rows = false;
-  if (incoming == nullptr) {
-    joined = ps.local;
-    have_rows = true;
-  } else if (!incoming->empty()) {
-    HYP_ASSIGN_OR_RETURN(joined,
-                         JoinOrProduct(ps.local, *incoming, compose));
-    have_rows = true;
-  }
 
+  // Each joined row is projected onto what is still needed (endpoint
+  // attrs + earlier hops) straight into ps.emitted; the rows new there
+  // are the ones to stream.  Joined rows are never collected or
+  // deduplicated on their own.
   std::vector<Mapping> fresh;
-  if (have_rows && !joined.empty()) {
-    // Project onto what is still needed (endpoint attrs + earlier hops).
-    std::vector<std::string> project_to;
-    for (const std::string& n : ps.needed_names) {
-      if (joined.schema().IndexOf(n)) project_to.push_back(n);
-    }
-    if (project_to.empty()) {
-      // Terminal of a middle-only partition: only satisfiability matters.
-      ps.any_rows = ps.any_rows || !joined.empty();
-    } else {
-      HYP_ASSIGN_OR_RETURN(FreeTable projected,
-                           joined.ProjectOnto(project_to, compose));
-      if (!ps.emitted) ps.emitted.emplace(projected.schema());
-      for (const Mapping& row : projected.rows()) {
-        if (ps.emitted->AddRow(row)) fresh.push_back(row);
+  std::optional<RowProjector> projector;
+  bool satisfiability_only = false;
+  auto take = [&](const Schema& joined_schema, const Mapping& row) -> Status {
+    if (!projector && !satisfiability_only) {
+      std::vector<std::string> project_to;
+      for (const std::string& n : ps.needed_names) {
+        if (joined_schema.IndexOf(n)) project_to.push_back(n);
       }
-      ps.any_rows = ps.any_rows || !ps.emitted->empty();
+      // Terminal of a middle-only partition: only satisfiability matters.
+      satisfiability_only = project_to.empty();
+      if (!satisfiability_only) {
+        HYP_ASSIGN_OR_RETURN(projector,
+                             RowProjector::Create(joined_schema, project_to));
+        if (!ps.emitted) ps.emitted.emplace(projector->schema());
+      }
+    }
+    if (satisfiability_only) {
+      ps.any_rows = true;
+      return Status::OK();
+    }
+    return projector->Project(row, &*ps.emitted, &fresh, compose);
+  };
+
+  if (incoming == nullptr) {
+    // Starter: the local join is the whole input.
+    for (const Mapping& row : ps.local.rows()) {
+      HYP_RETURN_IF_ERROR(take(ps.local.schema(), row));
+    }
+  } else if (!incoming->empty()) {
+    if (!ps.local.schema().ToSet().Overlaps(incoming->schema().ToSet())) {
+      HYP_ASSIGN_OR_RETURN(FreeTable product,
+                           ps.local.CartesianProduct(*incoming, compose));
+      for (const Mapping& row : product.rows()) {
+        HYP_RETURN_IF_ERROR(take(product.schema(), row));
+      }
+    } else {
+      if (!ps.local_index ||
+          !(ps.local_index->right_schema() == incoming->schema())) {
+        HYP_ASSIGN_OR_RETURN(JoinIndex index,
+                             JoinIndex::Build(ps.local, incoming->schema()));
+        ps.local_index.emplace(std::move(index));
+        CountProto("proto.join_index_builds");
+      }
+      const JoinIndex& index = *ps.local_index;
+      size_t joined = 0;
+      HYP_RETURN_IF_ERROR(index.Join(
+          ps.local, incoming->rows(), [&](size_t, Mapping row) -> Status {
+            if (++joined > compose.max_result_rows) {
+              return Status::InvalidArgument(
+                  "NaturalJoin: result exceeds max rows");
+            }
+            return take(index.schema(), row);
+          }));
     }
   }
+  if (ps.emitted && !ps.emitted->empty()) ps.any_rows = true;
   return EmitRows(state, part_idx, std::move(fresh), eos);
 }
 

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/compose.h"
 #include "core/constraint.h"
 #include "core/cover_engine.h"
 #include "core/schema.h"
@@ -181,7 +182,12 @@ class PeerNode {
     std::vector<std::string> keep_names;    // endpoint attrs kept
     std::vector<std::string> needed_names;  // what downstream-of-me needs
     FreeTable local;           // join of my member tables
-    std::optional<FreeTable> emitted;  // dedup of rows already streamed
+    // Probe index over `local`, built on the first batch and probed by
+    // every later one (rebuilt only if a batch changes schema).
+    std::optional<JoinIndex> local_index;
+    // Every row streamed so far: joined rows are projected straight into
+    // it, and only the rows it did not hold yet go onward.
+    std::optional<FreeTable> emitted;
     std::unique_ptr<MappingCache> cache;
     bool any_rows = false;     // satisfiability witness seen
     bool done = false;

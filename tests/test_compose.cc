@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "common/hash_util.h"
 #include "common/random.h"
 #include "test_util.h"
 
@@ -349,6 +355,291 @@ TEST_P(ComposeOracleTest, CoverMatchesJoinProjectOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ComposeOracleTest, ::testing::Range(0, 40));
+
+// ---------------------------------------------------------------------------
+// The join kernel reused across batches, and the FreeTable row index.
+// ---------------------------------------------------------------------------
+
+// A table of `rows` over `schema` (rows added through AddRow).
+FreeTable TableOf(const Schema& schema, const std::vector<Mapping>& rows) {
+  FreeTable t(schema);
+  for (const Mapping& row : rows) t.AddRow(row);
+  return t;
+}
+
+// Reference for left ⋈ right, row order included: every left row in order
+// meets, when its shared cells are all constants, the right rows holding
+// the same constants and then the right rows with a variable in a shared
+// cell (each group ascending), and otherwise every right row in order.
+// Each pair is joined on its own, so the kernel's grouping and ordering
+// are checked independently of its pair unification.
+std::vector<Mapping> ReferenceJoin(const FreeTable& left,
+                                   const FreeTable& right) {
+  std::vector<std::pair<size_t, size_t>> shared;
+  for (size_t j = 0; j < right.schema().arity(); ++j) {
+    if (auto i = left.schema().IndexOf(right.schema().attr(j).name())) {
+      shared.emplace_back(*i, j);
+    }
+  }
+  auto ground_key = [&](const Mapping& row, bool left_side) {
+    for (const auto& [i, j] : shared) {
+      if (!row.cell(left_side ? i : j).is_constant()) return false;
+    }
+    return true;
+  };
+  std::vector<Mapping> out;
+  for (const Mapping& a : left.rows()) {
+    std::vector<const Mapping*> order;
+    if (ground_key(a, true)) {
+      for (const Mapping& b : right.rows()) {
+        if (!ground_key(b, false)) continue;
+        bool same = true;
+        for (const auto& [i, j] : shared) {
+          same = same && a.cell(i).value() == b.cell(j).value();
+        }
+        if (same) order.push_back(&b);
+      }
+      for (const Mapping& b : right.rows()) {
+        if (!ground_key(b, false)) order.push_back(&b);
+      }
+    } else {
+      for (const Mapping& b : right.rows()) order.push_back(&b);
+    }
+    for (const Mapping* b : order) {
+      auto pair = TableOf(left.schema(), {a})
+                      .NaturalJoin(TableOf(right.schema(), {*b}));
+      EXPECT_TRUE(pair.ok()) << pair.status();
+      if (pair.ok() && !pair.value().empty()) {
+        out.push_back(pair.value().rows()[0]);
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<Mapping> Deduplicated(const std::vector<Mapping>& rows) {
+  std::vector<Mapping> out;
+  for (const Mapping& row : rows) {
+    if (std::find(out.begin(), out.end(), row) == out.end()) {
+      out.push_back(row);
+    }
+  }
+  return out;
+}
+
+class JoinIndexPropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(JoinIndexPropertyTest, ReusedIndexMatchesNaturalJoinPerBatch) {
+  Rng rng(5000 + GetParam());
+  const size_t domain_size = 3;
+  // Two shared attributes (B, C), ground cells, variables and exclusion
+  // sets on both sides.
+  FreeTable left = FreeTable::FromMappingTable(
+      RandomTable(&rng, {"A", "B"}, {"C"}, 40, domain_size));
+  auto index_or = JoinIndex::Build(
+      left, Schema::Of({FiniteAttr("B", domain_size),
+                        FiniteAttr("C", domain_size),
+                        FiniteAttr("D", domain_size)}));
+  ASSERT_TRUE(index_or.ok()) << index_or.status();
+  const JoinIndex& index = index_or.value();
+
+  for (int b = 0; b < 6; ++b) {
+    FreeTable batch = FreeTable::FromMappingTable(
+        RandomTable(&rng, {"B", "C"}, {"D"}, 8, domain_size));
+    // Every other batch keeps only rows with ground keys, so both the
+    // grouped path and the every-left-row path run.
+    if (b % 2 == 1) {
+      FreeTable ground(batch.schema());
+      for (const Mapping& row : batch.rows()) {
+        if (row.cell(0).is_constant() && row.cell(1).is_constant()) {
+          ground.AddRow(row);
+        }
+      }
+      batch = std::move(ground);
+    }
+    std::vector<Mapping> streamed;
+    ASSERT_TRUE(index
+                    .Join(left, batch.rows(),
+                          [&](size_t, Mapping row) {
+                            streamed.push_back(std::move(row));
+                            return Status::OK();
+                          })
+                    .ok());
+    EXPECT_EQ(streamed, ReferenceJoin(left, batch)) << "batch " << b;
+
+    auto joined = left.NaturalJoin(batch);
+    ASSERT_TRUE(joined.ok()) << joined.status();
+    EXPECT_EQ(joined.value().schema(), index.schema());
+    EXPECT_EQ(joined.value().rows(), Deduplicated(streamed)) << "batch " << b;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, JoinIndexPropertyTest, ::testing::Range(0, 25));
+
+// `row` with its variables renamed by a seeded injective map.
+Mapping Renamed(const Mapping& row, Rng* rng) {
+  VarId offset = static_cast<VarId>(rng->Uniform(1, 50));
+  std::vector<Cell> cells;
+  for (const Cell& c : row.cells()) {
+    cells.push_back(c.is_constant()
+                        ? c
+                        : Cell::Variable(3 * c.var() + offset,
+                                         c.exclusions_ptr()));
+  }
+  return Mapping(std::move(cells));
+}
+
+class FreeTableIndexPropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(FreeTableIndexPropertyTest, DedupsUpToVariableRenaming) {
+  Rng rng(6000 + GetParam());
+  MappingTable source = RandomTable(&rng, {"A", "B"}, {"C"}, 30, 3);
+  FreeTable t(source.schema());
+  std::set<std::string> distinct;
+  for (const Mapping& row : source.rows()) {
+    Mapping renamed = Renamed(row, &rng);
+    EXPECT_EQ(t.AddRow(renamed), distinct.insert(row.ToString()).second);
+    EXPECT_FALSE(t.AddRow(Renamed(row, &rng)));  // same row, new names
+    EXPECT_TRUE(t.ContainsRow(Renamed(row, &rng)));
+    EXPECT_TRUE(t.ContainsRow(row));
+  }
+  EXPECT_EQ(t.size(), distinct.size());
+  // Rows that differ only in an exclusion set are different rows.
+  FreeTable u(Schema::Of({FiniteAttr("A", 3), FiniteAttr("B", 3)}));
+  EXPECT_TRUE(u.AddRow(Mapping({Cell::Variable(4), Cell::Variable(4)})));
+  EXPECT_FALSE(u.AddRow(Mapping({Cell::Variable(0), Cell::Variable(0)})));
+  EXPECT_FALSE(u.ContainsRow(Mapping({Cell::Variable(0),
+                                      Cell::Variable(0, {Value("a")})})));
+  EXPECT_TRUE(u.AddRow(Mapping({Cell::Variable(7),
+                                Cell::Variable(7, {Value("a")})})));
+  EXPECT_TRUE(u.AddRow(Mapping({Cell::Variable(1), Cell::Variable(2)})));
+  EXPECT_EQ(u.size(), 3u);
+}
+
+TEST_P(FreeTableIndexPropertyTest, AdoptionMatchesAddRow) {
+  Rng rng(7000 + GetParam());
+  MappingTable source = RandomTable(&rng, {"A"}, {"B", "C"}, 25, 3);
+  FreeTable added(source.schema());
+  for (const Mapping& row : source.rows()) added.AddRow(row);
+  FreeTable adopted = FreeTable::FromMappingTable(source);
+  EXPECT_EQ(adopted.rows(), added.rows());
+
+  // A filtered subset, as a semi-join reduction adopts it.
+  std::vector<Mapping> subset;
+  FreeTable subset_added(source.schema());
+  for (const Mapping& row : source.rows()) {
+    if (rng.Bernoulli(0.5)) {
+      subset.push_back(row);
+      subset_added.AddRow(row);
+    }
+  }
+  FreeTable subset_adopted = FreeTable::FromMappingTable(source, subset);
+  EXPECT_EQ(subset_adopted.rows(), subset_added.rows());
+
+  // The adopted index answers like the built one.
+  for (const Mapping& row : source.rows()) {
+    EXPECT_TRUE(adopted.ContainsRow(Renamed(row, &rng)));
+    EXPECT_FALSE(adopted.AddRow(Renamed(row, &rng)));
+    EXPECT_EQ(subset_adopted.ContainsRow(row), subset_added.ContainsRow(row));
+    EXPECT_EQ(subset_adopted.AddRow(row), subset_added.AddRow(row));
+  }
+  EXPECT_EQ(subset_adopted.rows(), subset_added.rows());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FreeTableIndexPropertyTest,
+                         ::testing::Range(0, 20));
+
+// Collision construction.  hash_util.h's HashCombine is invertible in the
+// combined hash (std::hash<int64_t> is the identity), so the test can
+// solve for the second int of a pair that makes a chosen hash.
+constexpr uint64_t kHashMix = 0x9e3779b97f4a7c15ull;
+uint64_t Combine(uint64_t seed, uint64_t h) {
+  return seed ^ (h + kHashMix + (seed << 12) + (seed >> 4));
+}
+uint64_t Uncombine(uint64_t seed, uint64_t combined) {
+  return (combined ^ seed) - kHashMix - (seed << 12) - (seed >> 4);
+}
+uint64_t ValueHash(int64_t v) { return Combine(1, static_cast<uint64_t>(v)); }
+int64_t ValueWithHash(uint64_t h) {
+  return static_cast<int64_t>(Uncombine(1, h));
+}
+
+// y such that Mapping({Constant(x), Constant(y)}).Hash() == target
+// (Mapping::Hash seeds with the arity; Cell::Hash wraps Value::Hash).
+int64_t RowCollider(int64_t x, uint64_t target) {
+  uint64_t seed = Combine(2, Combine(1, ValueHash(x)));
+  return ValueWithHash(Uncombine(1, Uncombine(seed, target)));
+}
+
+// y such that the join key (x, y) hashes to `target`: JoinIndex combines
+// the shared constants' Value::Hash into a seed of 0.
+int64_t KeyCollider(int64_t x, uint64_t target) {
+  return ValueWithHash(Uncombine(Combine(0, ValueHash(x)), target));
+}
+uint64_t KeyHashOf(int64_t x, int64_t y) {
+  size_t seed = 0;
+  HashCombine(&seed, Value(x));
+  HashCombine(&seed, Value(y));
+  return seed;
+}
+
+Mapping IntRow(std::vector<int64_t> values) {
+  std::vector<Cell> cells;
+  for (int64_t v : values) cells.push_back(Cell::Constant(Value(v)));
+  return Mapping(std::move(cells));
+}
+
+Schema IntSchema(const std::vector<std::string>& names) {
+  std::vector<Attribute> attrs;
+  for (const std::string& n : names) {
+    attrs.emplace_back(n, Domain::AllInts());
+  }
+  return Schema(std::move(attrs));
+}
+
+TEST(FreeTableIndexTest, RowsWithCollidingHashesStayDistinct) {
+  const Mapping base = IntRow({7, 11});
+  std::vector<Mapping> colliding = {base};
+  for (int64_t x = 100; x < 140; ++x) {
+    colliding.push_back(IntRow({x, RowCollider(x, base.Hash())}));
+  }
+  for (const Mapping& m : colliding) {
+    ASSERT_EQ(m.Hash(), base.Hash())
+        << "Mapping::Hash changed; rederive RowCollider";
+  }
+  FreeTable t(IntSchema({"X", "Y"}));
+  for (const Mapping& m : colliding) EXPECT_TRUE(t.AddRow(m));
+  for (const Mapping& m : colliding) {
+    EXPECT_FALSE(t.AddRow(m));
+    EXPECT_TRUE(t.ContainsRow(m));
+  }
+  EXPECT_FALSE(t.ContainsRow(IntRow({7, 12})));
+  EXPECT_EQ(t.rows(), colliding);
+}
+
+TEST(JoinIndexTest, KeysWithCollidingHashesNeverMeet) {
+  // Left keys all hash alike; the key (7, 11) comes last, so a probe for
+  // it must look past every other group of its hash.
+  const uint64_t target = KeyHashOf(7, 11);
+  FreeTable left(IntSchema({"X", "Y", "L"}));
+  for (int64_t x = 100; x < 120; ++x) {
+    int64_t y = KeyCollider(x, target);
+    ASSERT_EQ(KeyHashOf(x, y), target) << "rederive KeyCollider";
+    left.AddRow(IntRow({x, y, x}));
+  }
+  left.AddRow(IntRow({7, 11, 7}));
+  FreeTable right(IntSchema({"X", "Y", "R"}));
+  right.AddRow(IntRow({7, 11, 1}));
+  right.AddRow(IntRow({105, KeyCollider(105, target), 2}));
+  right.AddRow(IntRow({7, 12, 3}));
+
+  auto joined = left.NaturalJoin(right);
+  ASSERT_TRUE(joined.ok()) << joined.status();
+  std::vector<Mapping> want = {
+      IntRow({105, KeyCollider(105, target), 105, 2}),
+      IntRow({7, 11, 7, 1})};
+  EXPECT_EQ(joined.value().rows(), want);
+}
 
 }  // namespace
 }  // namespace hyperion
