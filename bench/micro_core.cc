@@ -12,6 +12,7 @@
 #include "core/compose.h"
 #include "core/containment.h"
 #include "core/cover_engine.h"
+#include "core/curator.h"
 #include "core/partition.h"
 #include "core/query.h"
 #include "workload/bio_network.h"
@@ -133,6 +134,51 @@ void BM_StreamedJoin(benchmark::State& state) {
                           static_cast<int64_t>(rows));
 }
 BENCHMARK(BM_StreamedJoin)->Arg(1000)->Arg(10000);
+
+// A finished cover handed to a MappingTable: re-adding every row against
+// adopting the FreeTable's storage (ToMappingTable on an rvalue).
+void BM_MappingTableAddRow(benchmark::State& state) {
+  FreeTable cover = FreeTable::FromMappingTable(
+      ChainTable(static_cast<size_t>(state.range(0)), "a", "c"));
+  for (auto _ : state) {
+    MappingTable t = MappingTable::Create(Schema::Of({Attribute::String("a")}),
+                                          Schema::Of({Attribute::String("c")}),
+                                          "cover")
+                         .value();
+    for (const Mapping& row : cover.rows()) IgnoreStatus(t.AddRow(row));
+    benchmark::DoNotOptimize(t);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_MappingTableAddRow)->Arg(1000)->Arg(10000);
+
+void BM_MappingTableAdopt(benchmark::State& state) {
+  FreeTable cover = FreeTable::FromMappingTable(
+      ChainTable(static_cast<size_t>(state.range(0)), "a", "c"));
+  for (auto _ : state) {
+    state.PauseTiming();
+    FreeTable handed_off = cover;
+    state.ResumeTiming();
+    auto t = std::move(handed_off).ToMappingTable({"a"}, "cover");
+    benchmark::DoNotOptimize(t);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_MappingTableAdopt)->Arg(1000)->Arg(10000);
+
+// A curator write: one new row merged into a 1.5k-row table.
+void BM_MergeUnion(benchmark::State& state) {
+  MappingTable base = ChainTable(1500, "a", "b");
+  MappingTable delta = MappingTable::Create(base.x_schema(), base.y_schema(),
+                                            "delta")
+                           .value();
+  IgnoreStatus(delta.AddPair({Value("a-new")}, {Value("b-new")}));
+  for (auto _ : state) {
+    auto merged = MergeUnion(base, delta, base.name());
+    benchmark::DoNotOptimize(merged);
+  }
+}
+BENCHMARK(BM_MergeUnion);
 
 void BM_ComposeConstraints(benchmark::State& state) {
   size_t rows = static_cast<size_t>(state.range(0));

@@ -1,12 +1,10 @@
 #include "core/compose.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <map>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/hash_util.h"
 #include "core/unify.h"
@@ -54,126 +52,7 @@ Cell ResolveCell(const Cell& cell, VarId offset, Unifier* u,
   return Cell::Variable(it->second, u->MergedExclusionsOf(shifted));
 }
 
-// Whether `m`'s variables are numbered 0..k-1 in order of first
-// occurrence, i.e. whether m == m.Normalized().
-bool IsNormalized(const Mapping& m) {
-  VarId next = 0;
-  for (const Cell& c : m.cells()) {
-    if (!c.is_variable()) continue;
-    if (c.var() == next) {
-      ++next;
-    } else if (c.var() > next) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
-
-bool FreeTable::AddRow(Mapping row) {
-  assert(row.arity() == schema_.arity());
-  Mapping normalized = IsNormalized(row) ? std::move(row) : row.Normalized();
-  if (!normalized.IsSatisfiable(schema_)) return false;
-  return InsertNormalized(std::move(normalized));
-}
-
-bool FreeTable::ContainsRow(const Mapping& row) const {
-  Mapping normalized = row.Normalized();
-  return Find(normalized, normalized.Hash()) != rows_.size();
-}
-
-bool FreeTable::InsertNormalized(Mapping row) {
-  assert(IsNormalized(row));
-  size_t hash = row.Hash();
-  if (Find(row, hash) != rows_.size()) return false;
-  assert(rows_.size() < UINT32_MAX);
-  if (2 * (rows_.size() + 1) > slots_.size()) Grow();
-  const size_t mask = slots_.size() - 1;
-  size_t slot = HomeSlot(hash);
-  while (slots_[slot] != 0) slot = (slot + 1) & mask;
-  slots_[slot] = static_cast<uint32_t>(rows_.size() + 1);
-  rows_.push_back(std::move(row));
-  hashes_.push_back(hash);
-  return true;
-}
-
-size_t FreeTable::Find(const Mapping& row, size_t hash) const {
-  if (slots_.empty()) return rows_.size();
-  const size_t mask = slots_.size() - 1;
-  for (size_t slot = HomeSlot(hash); slots_[slot] != 0;
-       slot = (slot + 1) & mask) {
-    size_t pos = slots_[slot] - 1;
-    if (hashes_[pos] == hash && rows_[pos] == row) return pos;
-  }
-  return rows_.size();
-}
-
-size_t FreeTable::HomeSlot(size_t hash) const {
-  // Fibonacci hashing: the multiply spreads Mapping::Hash's low-entropy
-  // bits into the high bits the shift keeps.
-  return static_cast<size_t>((uint64_t{hash} * 0x9e3779b97f4a7c15ull) >>
-                             slot_shift_);
-}
-
-void FreeTable::Grow() {
-  size_t capacity = 16;
-  while (capacity < 2 * (rows_.size() + 1)) capacity *= 2;
-  slots_.assign(capacity, 0);
-  slot_shift_ = 64 - static_cast<uint32_t>(std::countr_zero(capacity));
-  const size_t mask = capacity - 1;
-  for (size_t pos = 0; pos < rows_.size(); ++pos) {
-    size_t slot = HomeSlot(hashes_[pos]);
-    while (slots_[slot] != 0) slot = (slot + 1) & mask;
-    slots_[slot] = static_cast<uint32_t>(pos + 1);
-  }
-}
-
-bool FreeTable::MatchesGround(const Tuple& t) const {
-  for (const Mapping& row : rows_) {
-    if (row.MatchesGround(t, schema_)) return true;
-  }
-  return false;
-}
-
-FreeTable FreeTable::FromMappingTable(const MappingTable& table) {
-  return FromMappingTable(table, table.rows());
-}
-
-FreeTable FreeTable::FromMappingTable(const MappingTable& table,
-                                      std::vector<Mapping> rows) {
-  FreeTable out(table.schema());
-  out.rows_ = std::move(rows);
-  out.hashes_.reserve(out.rows_.size());
-  for (const Mapping& row : out.rows_) {
-    assert(table.ContainsRow(row) && IsNormalized(row));
-    out.hashes_.push_back(row.Hash());
-  }
-  out.Grow();
-  return out;
-}
-
-Result<MappingTable> FreeTable::ToMappingTable(
-    const std::vector<std::string>& x_names, std::string name) const {
-  HYP_ASSIGN_OR_RETURN(std::vector<size_t> x_positions,
-                       schema_.PositionsOf(x_names));
-  std::vector<bool> is_x(schema_.arity(), false);
-  for (size_t p : x_positions) is_x[p] = true;
-  std::vector<size_t> y_positions;
-  for (size_t i = 0; i < schema_.arity(); ++i) {
-    if (!is_x[i]) y_positions.push_back(i);
-  }
-  HYP_ASSIGN_OR_RETURN(
-      MappingTable table,
-      MappingTable::Create(schema_.Project(x_positions),
-                           schema_.Project(y_positions), std::move(name)));
-  std::vector<size_t> order = x_positions;
-  order.insert(order.end(), y_positions.begin(), y_positions.end());
-  for (const Mapping& row : rows_) {
-    HYP_RETURN_IF_ERROR(table.AddRow(row.Project(order)));
-  }
-  return table;
-}
 
 Result<FreeTable> FreeTable::NaturalJoin(const FreeTable& other,
                                          const ComposeOptions& opts) const {
@@ -579,37 +458,6 @@ Result<FreeTable> FreeTable::CartesianProduct(
   return out;
 }
 
-Result<std::vector<Tuple>> FreeTable::EnumerateExtension(size_t limit) const {
-  std::unordered_set<Tuple, TupleHash> seen;
-  std::vector<Tuple> out;
-  for (const Mapping& row : rows_) {
-    HYP_ASSIGN_OR_RETURN(std::vector<Tuple> tuples,
-                         row.EnumerateExtension(schema_, limit));
-    for (Tuple& t : tuples) {
-      if (out.size() >= limit) {
-        return Status::InvalidArgument("extension exceeds enumeration limit");
-      }
-      if (seen.insert(t).second) out.push_back(std::move(t));
-    }
-  }
-  return out;
-}
-
-std::string FreeTable::ToString() const {
-  std::ostringstream os;
-  os << "FreeTable " << schema_.ToString() << " [" << rows_.size()
-     << " rows]\n";
-  size_t shown = 0;
-  for (const Mapping& row : rows_) {
-    if (shown++ >= 20) {
-      os << "  ... (" << rows_.size() - 20 << " more)\n";
-      break;
-    }
-    os << "  " << row.ToString() << "\n";
-  }
-  return os.str();
-}
-
 Result<FreeTable> JoinOrProduct(const FreeTable& a, const FreeTable& b,
                                 const ComposeOptions& opts) {
   if (a.schema().ToSet().Overlaps(b.schema().ToSet())) {
@@ -638,9 +486,9 @@ Result<FreeTable> SemiJoinReduce(const FreeTable& table,
 Result<MappingTable> ComposeConstraints(const MappingConstraint& a,
                                         const MappingConstraint& b,
                                         const ComposeOptions& opts) {
-  FreeTable fa = FreeTable::FromMappingTable(a.table());
-  FreeTable fb = FreeTable::FromMappingTable(b.table());
-  HYP_ASSIGN_OR_RETURN(FreeTable joined, fa.NaturalJoin(fb, opts));
+  HYP_ASSIGN_OR_RETURN(
+      FreeTable joined,
+      a.table().free_table().NaturalJoin(b.table().free_table(), opts));
   // Keep a's X side plus b's Y side (dropping the shared middle).
   std::vector<std::string> keep;
   for (const Attribute& attr : a.x_schema().attrs()) {
@@ -659,7 +507,7 @@ Result<MappingTable> ComposeConstraints(const MappingConstraint& a,
   std::string name = a.name().empty() || b.name().empty()
                          ? ""
                          : a.name() + "*" + b.name();
-  return projected.ToMappingTable(x_names, std::move(name));
+  return std::move(projected).ToMappingTable(x_names, std::move(name));
 }
 
 }  // namespace hyperion

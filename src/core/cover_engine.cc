@@ -22,6 +22,25 @@ std::vector<std::string> NamesIn(const std::vector<std::string>& keep,
   return out;
 }
 
+// Whether every variable of `row` carries the same exclusion set in each
+// of its cells — the form projection leaves a row in, so projecting it
+// onto all of its columns in their order changes nothing.
+bool ExclusionsMerged(const Mapping& row) {
+  std::vector<const Cell*> first;  // by var id; rows are normalized
+  for (const Cell& c : row.cells()) {
+    if (!c.is_variable()) continue;
+    if (c.var() >= first.size()) {
+      first.resize(c.var() + 1, nullptr);
+    }
+    if (first[c.var()] == nullptr) {
+      first[c.var()] = &c;
+    } else if (!(*first[c.var()] == c)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 // Join-order trace for ExplainEmptyCover.
 struct JoinTrace {
   std::vector<std::string> joined;  // member names in join order
@@ -212,7 +231,7 @@ Result<std::vector<PartitionCover>> CoverEngine::ComputePartitionCovers(
 }
 
 Result<MappingTable> CoverEngine::CombinePartitionCovers(
-    const std::vector<PartitionCover>& covers,
+    std::vector<PartitionCover> covers,
     const std::vector<Attribute>& x_attrs,
     const std::vector<Attribute>& y_attrs, const CoverEngineOptions& opts) {
   if (x_attrs.empty() || y_attrs.empty()) {
@@ -235,11 +254,11 @@ Result<MappingTable> CoverEngine::CombinePartitionCovers(
   // Cartesian product of the partition covers that touch the endpoints.
   std::optional<FreeTable> acc;
   std::set<std::string> covered;
-  for (const PartitionCover& pc : covers) {
+  for (PartitionCover& pc : covers) {
     if (pc.keep_names.empty()) continue;
     covered.insert(pc.keep_names.begin(), pc.keep_names.end());
     if (!acc) {
-      acc = pc.cover;
+      acc = std::move(pc.cover);
     } else {
       HYP_ASSIGN_OR_RETURN(acc, acc->CartesianProduct(pc.cover, opts.compose));
     }
@@ -269,14 +288,25 @@ Result<MappingTable> CoverEngine::CombinePartitionCovers(
   if (!acc) {
     return Status::Internal("cover combination produced no attributes");
   }
-  // Order columns X then Y and split.
+  // Order columns X then Y and split.  A cover already in that order
+  // whose rows are as projection leaves them is used as it is.
   std::vector<std::string> order = x_names;
   order.insert(order.end(), y_names.begin(), y_names.end());
-  HYP_ASSIGN_OR_RETURN(FreeTable ordered, acc->ProjectOnto(order, opts.compose));
+  FreeTable ordered;
+  const std::vector<Attribute>& acc_attrs = acc->schema().attrs();
+  bool in_order = std::equal(
+      order.begin(), order.end(), acc_attrs.begin(), acc_attrs.end(),
+      [](const std::string& n, const Attribute& a) { return n == a.name(); });
+  if (in_order && std::all_of(acc->rows().begin(), acc->rows().end(),
+                              ExclusionsMerged)) {
+    ordered = std::move(*acc);
+  } else {
+    HYP_ASSIGN_OR_RETURN(ordered, acc->ProjectOnto(order, opts.compose));
+  }
   if (opts.minimize) {
     HYP_ASSIGN_OR_RETURN(ordered, RemoveSubsumedRows(ordered));
   }
-  return ordered.ToMappingTable(x_names, "cover");
+  return std::move(ordered).ToMappingTable(x_names, "cover");
 }
 
 Result<MappingTable> CoverEngine::ComputeCover(
@@ -313,7 +343,7 @@ Result<MappingTable> CoverEngine::ComputeCover(
     }
     y_attrs.push_back(*a);
   }
-  return CombinePartitionCovers(covers, x_attrs, y_attrs, opts_);
+  return CombinePartitionCovers(std::move(covers), x_attrs, y_attrs, opts_);
 }
 
 Result<CoverEngine::EmptyCoverDiagnosis> CoverEngine::ExplainEmptyCover(

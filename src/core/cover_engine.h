@@ -82,9 +82,11 @@ class CoverEngine {
   /// keep_names / cover / satisfiable of each PartitionCover are used, so
   /// the distributed protocol can call this with covers it received over
   /// the network.  `x_attrs`/`y_attrs` are the endpoint attributes (with
-  /// domains) the cover ranges over.
+  /// domains) the cover ranges over.  The covers are taken by value so a
+  /// caller done with them can move them in: a lone cover already in X ++
+  /// Y order becomes the result's storage without a copy.
   static Result<MappingTable> CombinePartitionCovers(
-      const std::vector<PartitionCover>& covers,
+      std::vector<PartitionCover> covers,
       const std::vector<Attribute>& x_attrs,
       const std::vector<Attribute>& y_attrs,
       const CoverEngineOptions& opts = {});

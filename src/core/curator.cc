@@ -37,11 +37,11 @@ Result<std::vector<Mapping>> AlignRows(const MappingTable& a,
 Result<MappingTable> MergeUnion(const MappingTable& a, const MappingTable& b,
                                 std::string name) {
   HYP_ASSIGN_OR_RETURN(std::vector<Mapping> b_rows, AlignRows(a, b));
-  HYP_ASSIGN_OR_RETURN(
-      MappingTable out,
-      MappingTable::Create(a.x_schema(), a.y_schema(), std::move(name)));
-  for (const Mapping& row : a.rows()) HYP_RETURN_IF_ERROR(out.AddRow(row));
-  for (const Mapping& row : b_rows) HYP_RETURN_IF_ERROR(out.AddRow(row));
+  // a's rows are already normalized, checked and deduplicated: copy its
+  // storage and add only b's rows.
+  MappingTable out = a;
+  out.set_name(std::move(name));
+  for (Mapping& row : b_rows) HYP_RETURN_IF_ERROR(out.AddRow(std::move(row)));
   return out;
 }
 
@@ -49,16 +49,16 @@ Result<MappingTable> MergeIntersect(const MappingTable& a,
                                     const MappingTable& b, std::string name,
                                     const ComposeOptions& opts) {
   HYP_ASSIGN_OR_RETURN(std::vector<Mapping> b_rows, AlignRows(a, b));
-  FreeTable fa = FreeTable::FromMappingTable(a);
   FreeTable fb(a.schema());
   for (const Mapping& row : b_rows) fb.AddRow(row);
   // Join over every column: exactly the intersection of the extensions.
-  HYP_ASSIGN_OR_RETURN(FreeTable joined, fa.NaturalJoin(fb, opts));
+  HYP_ASSIGN_OR_RETURN(FreeTable joined,
+                       a.free_table().NaturalJoin(fb, opts));
   std::vector<std::string> x_names;
   for (const Attribute& attr : a.x_schema().attrs()) {
     x_names.push_back(attr.name());
   }
-  return joined.ToMappingTable(x_names, std::move(name));
+  return std::move(joined).ToMappingTable(x_names, std::move(name));
 }
 
 Result<TableDiff> DiffTables(const MappingTable& a, const MappingTable& b,

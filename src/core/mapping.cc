@@ -134,6 +134,19 @@ Mapping Mapping::Normalized() const {
   return Mapping(std::move(cells));
 }
 
+bool Mapping::IsNormalized() const {
+  VarId next = 0;
+  for (const Cell& c : cells_) {
+    if (!c.is_variable()) continue;
+    if (c.var() == next) {
+      ++next;
+    } else if (c.var() > next) {
+      return false;
+    }
+  }
+  return true;
+}
+
 Mapping Mapping::WithVarOffset(VarId offset) const {
   std::vector<Cell> cells;
   cells.reserve(cells_.size());

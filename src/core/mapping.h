@@ -61,6 +61,10 @@ class Mapping {
   /// Shared-variable structure and exclusions are preserved.
   Mapping Normalized() const;
 
+  /// \brief Whether the variables are already numbered 0..k-1 in order of
+  /// first occurrence, i.e. whether *this == Normalized().
+  bool IsNormalized() const;
+
   /// \brief Renames every variable id by adding `offset`.
   Mapping WithVarOffset(VarId offset) const;
 

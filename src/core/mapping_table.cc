@@ -17,11 +17,35 @@
 #include "core/mapping_table.h"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
+#include <unordered_map>
+#include <unordered_set>
 
+#include "common/hash_util.h"
 #include "common/string_util.h"
 
 namespace hyperion {
+
+namespace {
+
+// Hash of the X-part constants of `row` (its first `x_arity` cells); for
+// a ground X tuple it equals TupleHash of that tuple.
+size_t XKeyHash(const Mapping& row, size_t x_arity) {
+  size_t seed = 0;
+  for (size_t i = 0; i < x_arity; ++i) HashCombine(&seed, row.cell(i).value());
+  return seed;
+}
+
+// Whether the first `x_arity` cells of `row` (all constants) equal x[0..).
+bool XEquals(const Mapping& row, const Value* x, size_t x_arity) {
+  for (size_t i = 0; i < x_arity; ++i) {
+    if (!(row.cell(i).value() == x[i])) return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 Result<MappingTable> MappingTable::Create(Schema x_schema, Schema y_schema,
                                           std::string name) {
@@ -34,44 +58,72 @@ Result<MappingTable> MappingTable::Create(Schema x_schema, Schema y_schema,
   t.name_ = std::move(name);
   t.x_schema_ = std::move(x_schema);
   t.y_schema_ = std::move(y_schema);
-  t.schema_ = std::move(combined);
+  t.rows_ = FreeTable(std::move(combined));
   return t;
 }
 
-Status MappingTable::AddRow(Mapping row) {
-  if (row.arity() != schema_.arity()) {
+Result<MappingTable> MappingTable::Adopt(FreeTable rows, size_t x_arity,
+                                         std::string name) {
+  const Schema& schema = rows.schema();
+  std::vector<size_t> x_positions;
+  std::vector<size_t> y_positions;
+  for (size_t i = 0; i < schema.arity(); ++i) {
+    (i < x_arity ? x_positions : y_positions).push_back(i);
+  }
+  HYP_ASSIGN_OR_RETURN(MappingTable t,
+                       Create(schema.Project(x_positions),
+                              schema.Project(y_positions), std::move(name)));
+  // Satisfiability already vouches for the constants; only exclusion
+  // values are unchecked.
+  for (const Mapping& row : rows.rows()) {
+    if (!row.IsGround()) HYP_RETURN_IF_ERROR(t.CheckCells(row));
+  }
+  t.rows_ = std::move(rows);
+  t.x_next_.reserve(t.rows_.size());
+  for (size_t r = 0; r < t.rows_.size(); ++r) t.IndexRow(r);
+  return t;
+}
+
+Status MappingTable::CheckCells(const Mapping& row) const {
+  const Schema& schema = rows_.schema();
+  if (row.arity() != schema.arity()) {
     return Status::InvalidArgument(
         "row arity " + std::to_string(row.arity()) + " != table arity " +
-        std::to_string(schema_.arity()));
+        std::to_string(schema.arity()));
   }
   for (size_t i = 0; i < row.arity(); ++i) {
     const Cell& c = row.cell(i);
-    const DomainPtr& dom = schema_.attr(i).domain();
+    const DomainPtr& dom = schema.attr(i).domain();
     if (c.is_constant()) {
       if (!dom->Contains(c.value())) {
         return Status::InvalidArgument(
             "constant " + c.value().ToString() + " outside domain of '" +
-            schema_.attr(i).name() + "'");
+            schema.attr(i).name() + "'");
       }
     } else {
       for (const Value& v : c.exclusions()) {
         if (v.type() != dom->value_type()) {
           return Status::InvalidArgument(
               "exclusion value " + v.ToString() +
-              " has wrong type for attribute '" + schema_.attr(i).name() +
+              " has wrong type for attribute '" + schema.attr(i).name() +
               "'");
         }
       }
     }
   }
-  Mapping normalized = row.Normalized();
-  if (!normalized.IsSatisfiable(schema_)) {
+  return Status::OK();
+}
+
+Status MappingTable::AddRow(Mapping row) {
+  HYP_RETURN_IF_ERROR(CheckCells(row));
+  if (!row.IsSatisfiable(schema())) {
     return Status::InvalidArgument("row " + row.ToString() +
                                    " is unsatisfiable over its domains");
   }
-  if (row_set_.count(normalized)) return Status::OK();  // duplicate: no-op
-  row_set_.insert(normalized);
-  rows_.push_back(std::move(normalized));
+  if (!row.IsNormalized()) row = row.Normalized();
+  if (!rows_.InsertNormalized(std::move(row))) {
+    return Status::OK();  // duplicate: no-op
+  }
   IndexRow(rows_.size() - 1);
   return Status::OK();
 }
@@ -86,40 +138,84 @@ Status MappingTable::AddPair(const Tuple& x, const Tuple& y) {
 }
 
 bool MappingTable::ContainsRow(const Mapping& row) const {
-  return row_set_.count(row.Normalized()) > 0;
+  return rows_.ContainsRow(row);
+}
+
+template <typename SameX>
+size_t MappingTable::FindXSlot(size_t hash, SameX same_x) const {
+  const size_t mask = x_slots_.size() - 1;
+  // Fibonacci hashing, as in FreeTable::HomeSlot.
+  size_t slot = static_cast<size_t>((uint64_t{hash} * 0x9e3779b97f4a7c15ull) >>
+                                    x_slot_shift_);
+  for (; x_slots_[slot].first != kNoRow; slot = (slot + 1) & mask) {
+    const XSlot& s = x_slots_[slot];
+    if (s.hash == hash && same_x(rows()[s.first])) break;
+  }
+  return slot;
+}
+
+void MappingTable::GrowXIndex() {
+  size_t capacity = 16;
+  while (capacity < 2 * (distinct_ground_x_ + 1)) capacity *= 2;
+  std::vector<XSlot> old = std::move(x_slots_);
+  x_slots_.assign(capacity, XSlot{});
+  x_slot_shift_ = 64 - static_cast<uint32_t>(std::countr_zero(capacity));
+  for (const XSlot& s : old) {
+    if (s.first == kNoRow) continue;
+    // Keys in `old` are distinct, so the probe only looks for a free slot.
+    x_slots_[FindXSlot(s.hash, [](const Mapping&) { return false; })] = s;
+  }
 }
 
 void MappingTable::IndexRow(size_t row_idx) {
-  const Mapping& row = rows_[row_idx];
-  bool ground_x = true;
-  Tuple x(x_arity());
+  const Mapping& row = rows()[row_idx];
+  const uint32_t r = static_cast<uint32_t>(row_idx);
+  x_next_.push_back(kNoRow);
   for (size_t i = 0; i < x_arity(); ++i) {
     if (row.cell(i).is_variable()) {
-      ground_x = false;
-      break;
+      variable_x_rows_.push_back(r);
+      return;
     }
-    x[i] = row.cell(i).value();
   }
-  if (ground_x) {
-    ground_x_index_[std::move(x)].push_back(row_idx);
+  if (2 * (distinct_ground_x_ + 1) > x_slots_.size()) GrowXIndex();
+  const size_t hash = XKeyHash(row, x_arity());
+  XSlot& s = x_slots_[FindXSlot(hash, [&](const Mapping& first) {
+    for (size_t i = 0; i < x_arity(); ++i) {
+      if (!(first.cell(i).value() == row.cell(i).value())) return false;
+    }
+    return true;
+  })];
+  if (s.first == kNoRow) {
+    s = XSlot{r, r, hash};
+    ++distinct_ground_x_;
   } else {
-    variable_x_rows_.push_back(row_idx);
+    x_next_[s.last] = r;
+    s.last = r;
   }
 }
 
-bool MappingTable::SatisfiesTuple(const Tuple& t) const {
-  if (t.size() != schema_.arity()) return false;
-  Tuple x(t.begin(), t.begin() + static_cast<ptrdiff_t>(x_arity()));
-  auto it = ground_x_index_.find(x);
-  if (it != ground_x_index_.end()) {
-    for (size_t idx : it->second) {
-      if (rows_[idx].MatchesGround(t, schema_)) return true;
+template <typename Visit>
+bool MappingTable::ForEachCandidate(const Value* x, Visit visit) const {
+  if (!x_slots_.empty()) {
+    const size_t hash = HashRange(x, x + x_arity());
+    const XSlot& s = x_slots_[FindXSlot(hash, [&](const Mapping& first) {
+      return XEquals(first, x, x_arity());
+    })];
+    for (uint32_t r = s.first; r != kNoRow; r = x_next_[r]) {
+      if (visit(rows()[r])) return true;
     }
   }
-  for (size_t idx : variable_x_rows_) {
-    if (rows_[idx].MatchesGround(t, schema_)) return true;
+  for (uint32_t r : variable_x_rows_) {
+    if (visit(rows()[r])) return true;
   }
   return false;
+}
+
+bool MappingTable::SatisfiesTuple(const Tuple& t) const {
+  if (t.size() != schema().arity()) return false;
+  return ForEachCandidate(t.data(), [&](const Mapping& row) {
+    return row.MatchesGround(t, schema());
+  });
 }
 
 std::optional<Mapping> MappingTable::BindX(const Mapping& row,
@@ -131,7 +227,7 @@ std::optional<Mapping> MappingTable::BindX(const Mapping& row,
       if (!(c.value() == x[i])) return std::nullopt;
       continue;
     }
-    if (!c.AdmitsValue(x[i]) || !schema_.attr(i).domain()->Contains(x[i])) {
+    if (!c.AdmitsValue(x[i]) || !schema().attr(i).domain()->Contains(x[i])) {
       return std::nullopt;
     }
     auto [it, inserted] = binding.emplace(c.var(), x[i]);
@@ -139,7 +235,7 @@ std::optional<Mapping> MappingTable::BindX(const Mapping& row,
   }
   std::vector<Cell> y_cells;
   y_cells.reserve(y_schema_.arity());
-  for (size_t i = x_arity(); i < schema_.arity(); ++i) {
+  for (size_t i = x_arity(); i < schema().arity(); ++i) {
     const Cell& c = row.cell(i);
     if (c.is_constant()) {
       y_cells.push_back(c);
@@ -163,49 +259,39 @@ Result<std::vector<Tuple>> MappingTable::YmGround(const Tuple& x,
   }
   std::unordered_set<Tuple, TupleHash> seen;
   std::vector<Tuple> out;
-  auto consider = [&](size_t row_idx) -> Status {
-    auto y_mapping = BindX(rows_[row_idx], x);
-    if (!y_mapping) return Status::OK();
-    HYP_ASSIGN_OR_RETURN(std::vector<Tuple> ys,
-                         y_mapping->EnumerateExtension(y_schema_, limit));
-    for (Tuple& y : ys) {
+  Status status;
+  ForEachCandidate(x.data(), [&](const Mapping& row) {
+    auto y_mapping = BindX(row, x);
+    if (!y_mapping) return false;
+    auto ys = y_mapping->EnumerateExtension(y_schema_, limit);
+    if (!ys.ok()) {
+      status = ys.status();
+      return true;
+    }
+    for (Tuple& y : ys.value()) {
       if (seen.insert(y).second) out.push_back(std::move(y));
     }
-    return Status::OK();
-  };
-  auto it = ground_x_index_.find(x);
-  if (it != ground_x_index_.end()) {
-    for (size_t idx : it->second) HYP_RETURN_IF_ERROR(consider(idx));
-  }
-  for (size_t idx : variable_x_rows_) HYP_RETURN_IF_ERROR(consider(idx));
+    return false;
+  });
+  HYP_RETURN_IF_ERROR(status);
   return out;
 }
 
 bool MappingTable::XValueHasImage(const Tuple& x) const {
   if (x.size() != x_arity()) return false;
-  auto check = [&](size_t row_idx) {
-    auto y_mapping = BindX(rows_[row_idx], x);
+  return ForEachCandidate(x.data(), [&](const Mapping& row) {
+    auto y_mapping = BindX(row, x);
     return y_mapping && y_mapping->IsSatisfiable(y_schema_);
-  };
-  auto it = ground_x_index_.find(x);
-  if (it != ground_x_index_.end()) {
-    for (size_t idx : it->second) {
-      if (check(idx)) return true;
-    }
-  }
-  for (size_t idx : variable_x_rows_) {
-    if (check(idx)) return true;
-  }
-  return false;
+  });
 }
 
 Result<std::vector<Tuple>> MappingTable::EnumerateExtension(
     size_t limit) const {
   std::unordered_set<Tuple, TupleHash> seen;
   std::vector<Tuple> out;
-  for (const Mapping& row : rows_) {
+  for (const Mapping& row : rows()) {
     HYP_ASSIGN_OR_RETURN(std::vector<Tuple> tuples,
-                         row.EnumerateExtension(schema_, limit));
+                         row.EnumerateExtension(schema(), limit));
     for (Tuple& t : tuples) {
       if (out.size() >= limit) {
         return Status::InvalidArgument("extension exceeds enumeration limit");
@@ -217,8 +303,8 @@ Result<std::vector<Tuple>> MappingTable::EnumerateExtension(
 }
 
 bool MappingTable::IsSatisfiable() const {
-  for (const Mapping& row : rows_) {
-    if (row.IsSatisfiable(schema_)) return true;
+  for (const Mapping& row : rows()) {
+    if (row.IsSatisfiable(schema())) return true;
   }
   return false;
 }
@@ -226,7 +312,7 @@ bool MappingTable::IsSatisfiable() const {
 Result<Relation> MappingTable::FilterRelation(const Relation& combined) const {
   // Locate our X and Y attributes inside the combined schema.
   std::vector<std::string> names;
-  for (const Attribute& a : schema_.attrs()) names.push_back(a.name());
+  for (const Attribute& a : schema().attrs()) names.push_back(a.name());
   HYP_ASSIGN_OR_RETURN(std::vector<size_t> positions,
                        combined.schema().PositionsOf(names));
   Relation out(combined.schema());
@@ -352,7 +438,7 @@ std::string MappingTable::Serialize() const {
   if (!name_.empty()) os << "name: " << name_ << "\n";
   os << "x: " << SerializeSchemaLine(x_schema_) << "\n";
   os << "y: " << SerializeSchemaLine(y_schema_) << "\n";
-  for (const Mapping& row : rows_) {
+  for (const Mapping& row : rows()) {
     std::vector<std::string> cells;
     cells.reserve(row.arity());
     for (const Cell& c : row.cells()) cells.push_back(SerializeCell(c));
@@ -429,7 +515,7 @@ Result<MappingTable> MappingTable::Parse(std::string_view text) {
 MappingTable::Stats MappingTable::Describe() const {
   Stats stats;
   stats.rows = rows_.size();
-  for (const Mapping& row : rows_) {
+  for (const Mapping& row : rows()) {
     bool ground = true;
     for (const Cell& c : row.cells()) {
       if (c.is_variable()) {
@@ -443,13 +529,13 @@ MappingTable::Stats MappingTable::Describe() const {
       ++stats.variable_rows;
     }
   }
-  stats.distinct_ground_x = ground_x_index_.size();
-  size_t indexed_rows = 0;
-  for (const auto& [x, rows] : ground_x_index_) {
-    (void)x;
-    stats.max_fanout = std::max(stats.max_fanout, rows.size());
-    indexed_rows += rows.size();
+  stats.distinct_ground_x = distinct_ground_x_;
+  for (const XSlot& s : x_slots_) {
+    size_t fanout = 0;
+    for (uint32_t r = s.first; r != kNoRow; r = x_next_[r]) ++fanout;
+    stats.max_fanout = std::max(stats.max_fanout, fanout);
   }
+  const size_t indexed_rows = rows_.size() - variable_x_rows_.size();
   if (stats.distinct_ground_x > 0) {
     stats.avg_fanout = static_cast<double>(indexed_rows) /
                        static_cast<double>(stats.distinct_ground_x);
@@ -462,7 +548,7 @@ MappingTable::MappingShape MappingTable::Classify() const {
   bool many_to_one = false;
   std::unordered_map<Tuple, Tuple, TupleHash> y_of_x;
   std::unordered_map<Tuple, Tuple, TupleHash> x_of_y;
-  for (const Mapping& row : rows_) {
+  for (const Mapping& row : rows()) {
     if (!row.IsGround()) {
       // A variable row is bidirectionally functional only when it is
       // identity-shaped: every Y variable also appears on the X side and
@@ -521,7 +607,7 @@ std::string MappingTable::ToString() const {
   os << " " << x_schema_.ToString() << " -> " << y_schema_.ToString() << " ["
      << rows_.size() << " rows]\n";
   size_t shown = 0;
-  for (const Mapping& row : rows_) {
+  for (const Mapping& row : rows()) {
     if (shown++ >= 20) {
       os << "  ... (" << rows_.size() - 20 << " more)\n";
       break;

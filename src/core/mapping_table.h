@@ -4,17 +4,22 @@
 // (the "double line" in the paper's figures).  Variables are scoped to a
 // single row, which realizes the paper's restriction that each variable
 // appears in at most one mapping: rows are independent by construction.
+//
+// Each row is stored once, in a FreeTable over X ++ Y that also finds
+// duplicates.  Lookups by a ground X value go through a flat index over
+// the rows whose X cells are all constants.
 
 #ifndef HYPERION_CORE_MAPPING_TABLE_H_
 #define HYPERION_CORE_MAPPING_TABLE_H_
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
+#include "core/free_table.h"
 #include "core/mapping.h"
 #include "core/schema.h"
 #include "core/tuple.h"
@@ -30,18 +35,28 @@ class MappingTable {
   static Result<MappingTable> Create(Schema x_schema, Schema y_schema,
                                      std::string name = "");
 
+  /// \brief Takes over `rows`, whose first `x_arity` columns are X and the
+  /// rest Y, without re-adding a row: a FreeTable's rows are already
+  /// normalized, satisfiable and deduplicated.  Fails as Create does, and
+  /// as AddRow would on a row whose exclusion values have the wrong type.
+  static Result<MappingTable> Adopt(FreeTable rows, size_t x_arity,
+                                    std::string name = "");
+
   const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
 
   /// \brief Combined schema (X attributes first, then Y attributes).
-  const Schema& schema() const { return schema_; }
+  const Schema& schema() const { return rows_.schema(); }
   const Schema& x_schema() const { return x_schema_; }
   const Schema& y_schema() const { return y_schema_; }
   size_t x_arity() const { return x_schema_.arity(); }
 
   size_t size() const { return rows_.size(); }
   bool empty() const { return rows_.empty(); }
-  const std::vector<Mapping>& rows() const { return rows_; }
+  const std::vector<Mapping>& rows() const { return rows_.rows(); }
+  /// \brief The rows as a free table over schema(): the table's own
+  /// storage, for joining without a copy.
+  const FreeTable& free_table() const { return rows_; }
 
   /// \brief Adds a row (validated, normalized, deduplicated).
   ///
@@ -115,23 +130,53 @@ class MappingTable {
   static const char* MappingShapeToString(MappingShape shape);
 
  private:
+  static constexpr uint32_t kNoRow = UINT32_MAX;
+
+  // One distinct ground X value: the first and last row holding it
+  // (rows are chained in ascending order through x_next_) and its X-key
+  // hash.  first == kNoRow marks an empty slot.
+  struct XSlot {
+    uint32_t first = kNoRow;
+    uint32_t last = kNoRow;
+    size_t hash = 0;
+  };
+
+  // The checks AddRow makes before normalizing: arity, constants inside
+  // their domains, exclusion values of the attribute's type.
+  Status CheckCells(const Mapping& row) const;
+
   // Binds the X cells of `row` against ground `x`; returns the residual
   // Y-part mapping (bound variables substituted) or nullopt on mismatch.
   std::optional<Mapping> BindX(const Mapping& row, const Tuple& x) const;
 
+  // Files row `row_idx` under its ground X value, or with the variable-X
+  // rows.
   void IndexRow(size_t row_idx);
+  // Slot of x_slots_ holding the ground X value whose X-key hash is
+  // `hash` and for which `same_x(first row holding it)` is true, or the
+  // empty slot where that value would go.
+  template <typename SameX>
+  size_t FindXSlot(size_t hash, SameX same_x) const;
+  // Rebuilds x_slots_ with room for at least twice the distinct X values.
+  void GrowXIndex();
+  // Calls `visit(row)` for every row that may bind the ground X values
+  // x[0 .. x_arity()): the rows holding exactly those values, in order,
+  // then the variable-X rows.  Stops at, and returns true for, the first
+  // row for which `visit` returns true.
+  template <typename Visit>
+  bool ForEachCandidate(const Value* x, Visit visit) const;
 
   std::string name_;
   Schema x_schema_;
   Schema y_schema_;
-  Schema schema_;  // X ++ Y
-  std::vector<Mapping> rows_;
-  // Dedup of normalized rows.
-  std::unordered_set<Mapping, MappingHash> row_set_;
-  // Rows whose X part is all constants, keyed by that X tuple.
-  std::unordered_map<Tuple, std::vector<size_t>, TupleHash> ground_x_index_;
+  FreeTable rows_;  // over X ++ Y
+  // Ground-X index: open addressing on the X-key hash, no per-key node.
+  std::vector<XSlot> x_slots_;
+  std::vector<uint32_t> x_next_;  // per row: next row with its X, or kNoRow
+  size_t distinct_ground_x_ = 0;
+  uint32_t x_slot_shift_ = 64;    // 64 - log2(x_slots_.size())
   // Rows with at least one variable in the X part (checked linearly).
-  std::vector<size_t> variable_x_rows_;
+  std::vector<uint32_t> variable_x_rows_;
 };
 
 }  // namespace hyperion

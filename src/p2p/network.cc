@@ -8,6 +8,15 @@ namespace hyperion {
 
 namespace {
 
+// The handler-time histogram, looked up once per process rather than by
+// name (registry mutex plus a map walk) for every handler run.
+obs::Histogram* HandlerUs() {
+  static obs::Histogram* const histogram =
+      obs::MetricRegistry::Default().GetHistogram("sim.handler_us",
+                                                  obs::LatencyBoundsUs());
+  return histogram;
+}
+
 int64_t WallNowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -156,11 +165,7 @@ void SimNetwork::RunOnPeer(const std::string& peer, int64_t start,
   in_handler_ = false;
   busy_until_[peer] = start + consumed;
   clock_us_ = std::max(clock_us_, start + consumed);
-  if constexpr (obs::kMetricsEnabled) {
-    obs::MetricRegistry::Default()
-        .GetHistogram("sim.handler_us", obs::LatencyBoundsUs())
-        ->Observe(consumed);
-  }
+  HandlerUs()->Observe(consumed);
 }
 
 Result<int64_t> SimNetwork::Run() {

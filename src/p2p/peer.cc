@@ -13,11 +13,41 @@ namespace hyperion {
 
 namespace {
 
-// Shorthand for protocol counters in the default registry.
-inline void CountProto(const char* name, uint64_t n = 1) {
-  if constexpr (obs::kMetricsEnabled) {
-    obs::MetricRegistry::Default().GetCounter(name)->Add(n);
-  }
+// Handles to the protocol's instruments in the default registry, looked
+// up once per process: a lookup by name takes the registry mutex and a
+// map walk, too much for per-message paths.
+struct ProtoMetrics {
+  obs::MetricRegistry& reg = obs::MetricRegistry::Default();
+  obs::Counter* retransmits = reg.GetCounter("proto.retransmits");
+  obs::Counter* duplicates_suppressed =
+      reg.GetCounter("net.duplicates_suppressed");
+  obs::Counter* reorder_dropped = reg.GetCounter("proto.reorder_dropped");
+  obs::Counter* search_started = reg.GetCounter("search.started");
+  obs::Counter* search_hits = reg.GetCounter("search.hits");
+  obs::Counter* search_hit_tuples = reg.GetCounter("search.hit_tuples");
+  obs::Counter* semijoin_rows_in = reg.GetCounter("semijoin.rows_in");
+  obs::Counter* semijoin_rows_kept = reg.GetCounter("semijoin.rows_kept");
+  obs::Counter* gather_hops = reg.GetCounter("cover.gather_hops");
+  obs::Counter* join_index_builds = reg.GetCounter("proto.join_index_builds");
+  obs::Counter* batches_sent = reg.GetCounter("cover.batches_sent");
+  obs::Counter* rows_streamed = reg.GetCounter("cover.rows_streamed");
+  obs::Histogram* batch_rows =
+      reg.GetHistogram("cover.batch_rows", obs::SizeBounds());
+  obs::Counter* sessions_started = reg.GetCounter("cover.sessions_started");
+  obs::Counter* final_rows_received =
+      reg.GetCounter("cover.final_rows_received");
+  obs::Counter* sessions_completed =
+      reg.GetCounter("cover.sessions_completed");
+  obs::Histogram* session_duration_us =
+      reg.GetHistogram("cover.session_duration_us", obs::LatencyBoundsUs());
+  obs::Counter* session_timeouts = reg.GetCounter("proto.session_timeouts");
+  obs::Counter* parked_evicted = reg.GetCounter("proto.parked_evicted");
+  obs::Counter* sessions_failed = reg.GetCounter("cover.sessions_failed");
+};
+
+const ProtoMetrics& Proto() {
+  static const ProtoMetrics metrics;
+  return metrics;
 }
 
 // Structured span/event record for the session tracer.  `net` supplies
@@ -294,7 +324,7 @@ void PeerNode::HandleRetransmitTimer(const SendKey& key) {
   }
   out.attempts += 1;
   out.timeout_us *= 2;
-  CountProto("proto.retransmits");
+  Proto().retransmits->Add();
   TraceProto(network_, id_, "reliable.retransmit", session,
              partition == kErrorPartition ? -1
                                           : static_cast<int64_t>(partition),
@@ -338,7 +368,7 @@ void PeerNode::AdmitSequenced(const Message& msg, uint8_t kind,
   if (seq < channel.next_seq) {
     // Retransmission of something already processed: re-ack (the first
     // ack may have been lost) and drop.
-    CountProto("net.duplicates_suppressed");
+    Proto().duplicates_suppressed->Add();
     SendAck(msg.from, session, kind, partition, seq);
     return;
   }
@@ -347,7 +377,7 @@ void PeerNode::AdmitSequenced(const Message& msg, uint8_t kind,
     // an acked message would lose it for good.
     if (channel.parked.size() >= kMaxReorderPerChannel &&
         !channel.parked.count(seq)) {
-      CountProto("proto.reorder_dropped");
+      Proto().reorder_dropped->Add();
       return;  // unacked: the sender will retransmit
     }
     channel.parked.emplace(seq, msg);
@@ -456,7 +486,7 @@ Result<uint64_t> PeerNode::StartValueSearch(SelectionQuery query, int ttl) {
   SearchState& state = searches_[id];
   state.query = query;
 
-  CountProto("search.started");
+  Proto().search_started->Add();
   SearchMsg search;
   search.search_id = id;
   search.origin = id_;
@@ -531,8 +561,8 @@ void PeerNode::OnSearchHit(const Message& msg) {
   if (it == searches_.end()) return;
   SearchState& state = it->second;
   state.complete = state.complete && hit.complete;
-  CountProto("search.hits");
-  CountProto("search.hit_tuples", hit.tuples.size());
+  Proto().search_hits->Add();
+  Proto().search_hit_tuples->Add(hit.tuples.size());
   if (state.first_hit_us < 0) state.first_hit_us = network_->now_us();
   auto [rel_it, inserted] =
       state.hits.emplace(hit.responder, Relation(hit.schema));
@@ -635,8 +665,8 @@ std::vector<Mapping> PeerNode::ReducedRows(
   // Semi-join effectiveness: rows_kept / rows_in is the filter's
   // reduction ratio (paper §7's traffic discussion).
   if (!filters.empty()) {
-    CountProto("semijoin.rows_in", table.rows().size());
-    CountProto("semijoin.rows_kept", out.size());
+    Proto().semijoin_rows_in->Add(table.rows().size());
+    Proto().semijoin_rows_kept->Add(out.size());
   }
   return out;
 }
@@ -692,7 +722,7 @@ void PeerNode::OnSessionInit(const Message& msg) {
       ConstraintsTo(spec.path_peers[k + 1]);
   std::vector<PartitionSummary> merged =
       MergeSummaries(init.partitions, k, own);
-  CountProto("cover.gather_hops");
+  Proto().gather_hops->Add();
   TraceProto(network_, id_, "gather.forward", spec.id, -1,
              static_cast<int>(k), static_cast<int64_t>(merged.size()));
   if (k == n - 2) {
@@ -822,26 +852,30 @@ void PeerNode::OnComputePlan(const Message& msg) {
       auto fit = incoming_filters_.find(spec.id);
       if (fit != incoming_filters_.end()) filters = &fit->second;
     }
-    auto reduced_table = [&](const MappingTable& t) {
-      return FreeTable::FromMappingTable(t, ReducedRows(t, *filters));
-    };
-    FreeTable local = reduced_table(members[0]->table());
-    ComposeOptions compose;
-    compose.materialize_limit = spec.materialize_limit;
-    compose.max_result_rows = spec.max_result_rows;
-    for (size_t i = 1; i < members.size(); ++i) {
-      auto joined =
-          JoinOrProduct(local, reduced_table(members[i]->table()), compose);
-      if (!joined.ok()) {
-        FailSession(spec.id, joined.status());
-        return;
+    if (members.size() == 1 && filters->empty()) {
+      ps.borrowed = members[0]->table_ptr();
+    } else {
+      auto reduced_table = [&](const MappingTable& t) {
+        return FreeTable::FromMappingTable(t, ReducedRows(t, *filters));
+      };
+      FreeTable local = reduced_table(members[0]->table());
+      ComposeOptions compose;
+      compose.materialize_limit = spec.materialize_limit;
+      compose.max_result_rows = spec.max_result_rows;
+      for (size_t i = 1; i < members.size(); ++i) {
+        auto joined =
+            JoinOrProduct(local, reduced_table(members[i]->table()), compose);
+        if (!joined.ok()) {
+          FailSession(spec.id, joined.status());
+          return;
+        }
+        local = std::move(joined).value();
       }
-      local = std::move(joined).value();
+      ps.joined = std::move(local);
     }
-    ps.local = std::move(local);
     TraceProto(network_, id_, "partition.local_join", spec.id,
                static_cast<int64_t>(p), static_cast<int>(my_hop),
-               static_cast<int64_t>(ps.local.rows().size()));
+               static_cast<int64_t>(ps.local().size()));
   }
 
   // Starters begin streaming immediately.
@@ -888,58 +922,65 @@ Status PeerNode::ProcessRows(ParticipantState* state, size_t part_idx,
   // are the ones to stream.  Joined rows are never collected or
   // deduplicated on their own.
   std::vector<Mapping> fresh;
-  std::optional<RowProjector> projector;
-  bool satisfiability_only = false;
-  auto take = [&](const Schema& joined_schema, const Mapping& row) -> Status {
-    if (!projector && !satisfiability_only) {
-      std::vector<std::string> project_to;
-      for (const std::string& n : ps.needed_names) {
-        if (joined_schema.IndexOf(n)) project_to.push_back(n);
-      }
-      // Terminal of a middle-only partition: only satisfiability matters.
-      satisfiability_only = project_to.empty();
-      if (!satisfiability_only) {
-        HYP_ASSIGN_OR_RETURN(projector,
-                             RowProjector::Create(joined_schema, project_to));
-        if (!ps.emitted) ps.emitted.emplace(projector->schema());
-      }
+  auto use_schema = [&](const Schema& joined_schema) -> Status {
+    if ((ps.projector || ps.satisfiability_only) &&
+        ps.projected_from == joined_schema) {
+      return Status::OK();
     }
-    if (satisfiability_only) {
+    std::vector<std::string> project_to;
+    for (const std::string& n : ps.needed_names) {
+      if (joined_schema.IndexOf(n)) project_to.push_back(n);
+    }
+    // Terminal of a middle-only partition: only satisfiability matters.
+    ps.projected_from = joined_schema;
+    ps.satisfiability_only = project_to.empty();
+    ps.projector.reset();
+    if (!ps.satisfiability_only) {
+      HYP_ASSIGN_OR_RETURN(ps.projector,
+                           RowProjector::Create(joined_schema, project_to));
+      if (!ps.emitted) ps.emitted.emplace(ps.projector->schema());
+    }
+    return Status::OK();
+  };
+  auto take = [&](const Mapping& row) -> Status {
+    if (ps.satisfiability_only) {
       ps.any_rows = true;
       return Status::OK();
     }
-    return projector->Project(row, &*ps.emitted, &fresh, compose);
+    return ps.projector->Project(row, &*ps.emitted, &fresh, compose);
   };
 
+  const FreeTable& local = ps.local();
   if (incoming == nullptr) {
     // Starter: the local join is the whole input.
-    for (const Mapping& row : ps.local.rows()) {
-      HYP_RETURN_IF_ERROR(take(ps.local.schema(), row));
-    }
+    if (!local.empty()) HYP_RETURN_IF_ERROR(use_schema(local.schema()));
+    for (const Mapping& row : local.rows()) HYP_RETURN_IF_ERROR(take(row));
   } else if (!incoming->empty()) {
-    if (!ps.local.schema().ToSet().Overlaps(incoming->schema().ToSet())) {
+    if (!local.schema().ToSet().Overlaps(incoming->schema().ToSet())) {
       HYP_ASSIGN_OR_RETURN(FreeTable product,
-                           ps.local.CartesianProduct(*incoming, compose));
+                           local.CartesianProduct(*incoming, compose));
+      if (!product.empty()) HYP_RETURN_IF_ERROR(use_schema(product.schema()));
       for (const Mapping& row : product.rows()) {
-        HYP_RETURN_IF_ERROR(take(product.schema(), row));
+        HYP_RETURN_IF_ERROR(take(row));
       }
     } else {
       if (!ps.local_index ||
           !(ps.local_index->right_schema() == incoming->schema())) {
         HYP_ASSIGN_OR_RETURN(JoinIndex index,
-                             JoinIndex::Build(ps.local, incoming->schema()));
+                             JoinIndex::Build(local, incoming->schema()));
         ps.local_index.emplace(std::move(index));
-        CountProto("proto.join_index_builds");
+        Proto().join_index_builds->Add();
       }
       const JoinIndex& index = *ps.local_index;
       size_t joined = 0;
       HYP_RETURN_IF_ERROR(index.Join(
-          ps.local, incoming->rows(), [&](size_t, Mapping row) -> Status {
+          local, incoming->rows(), [&](size_t, Mapping row) -> Status {
             if (++joined > compose.max_result_rows) {
               return Status::InvalidArgument(
                   "NaturalJoin: result exceeds max rows");
             }
-            return take(index.schema(), row);
+            if (joined == 1) HYP_RETURN_IF_ERROR(use_schema(index.schema()));
+            return take(row);
           }));
     }
   }
@@ -971,13 +1012,9 @@ Status PeerNode::SendBatch(ParticipantState* state, size_t part_idx,
   Schema schema;
   if (ps.emitted) schema = ps.emitted->schema();
 
-  CountProto("cover.batches_sent");
-  CountProto("cover.rows_streamed", rows.size());
-  if constexpr (obs::kMetricsEnabled) {
-    obs::MetricRegistry::Default()
-        .GetHistogram("cover.batch_rows", obs::SizeBounds())
-        ->Observe(static_cast<int64_t>(rows.size()));
-  }
+  Proto().batches_sent->Add();
+  Proto().rows_streamed->Add(rows.size());
+  Proto().batch_rows->Observe(static_cast<int64_t>(rows.size()));
   TraceProto(network_, id_,
              ps.is_terminal ? "cover.final_sent" : "cover.batch_sent",
              state->spec.id, static_cast<int64_t>(part_idx),
@@ -1084,7 +1121,7 @@ Result<SessionId> PeerNode::StartCoverSession(
   session.y_attrs = std::move(y_attrs);
   session.opts = opts;
   session.result.stats.start_us = network_->now_us();
-  CountProto("cover.sessions_started");
+  Proto().sessions_started->Add();
   TraceProto(network_, id_, "session.start", spec.id, -1, 0,
              static_cast<int64_t>(spec.path_peers.size()));
 
@@ -1157,7 +1194,7 @@ void PeerNode::IntegrateFinalRows(const FinalRowsMsg& final_rows) {
     if (!stats.partition_first_row_us.count(p)) {
       stats.partition_first_row_us[p] = now;
     }
-    CountProto("cover.final_rows_received", final_rows.rows.size());
+    Proto().final_rows_received->Add(final_rows.rows.size());
     stats.rows_received += final_rows.rows.size();
     FreeTable& cover = session.result.partition_covers[p];
     if (cover.schema().arity() == 0) {
@@ -1186,18 +1223,19 @@ void PeerNode::FinishSession(InitiatorState* session) {
   }
   SessionResult& result = session->result;
   if (session->opts.combine_partitions) {
+    // The partition covers move into the combined cover.
     std::vector<PartitionCover> covers;
     for (size_t p = 0; p < result.partition_covers.size(); ++p) {
       PartitionCover pc;
       pc.keep_names = result.partition_keep_names[p];
-      pc.cover = result.partition_covers[p];
+      pc.cover = std::move(result.partition_covers[p]);
       pc.satisfiable = result.partition_satisfiable[p];
       covers.push_back(std::move(pc));
     }
     CoverEngineOptions engine_opts;
     engine_opts.compose = session->opts.compose;
     auto combined = CoverEngine::CombinePartitionCovers(
-        covers, session->x_attrs, session->y_attrs, engine_opts);
+        std::move(covers), session->x_attrs, session->y_attrs, engine_opts);
     if (!combined.ok()) {
       result.error = combined.status();
     } else {
@@ -1209,12 +1247,9 @@ void PeerNode::FinishSession(InitiatorState* session) {
     result.stats.first_row_us = result.stats.complete_us;
   }
   result.done = true;
-  CountProto("cover.sessions_completed");
-  if constexpr (obs::kMetricsEnabled) {
-    obs::MetricRegistry::Default()
-        .GetHistogram("cover.session_duration_us", obs::LatencyBoundsUs())
-        ->Observe(result.stats.complete_us - result.stats.start_us);
-  }
+  Proto().sessions_completed->Add();
+  Proto().session_duration_us->Observe(result.stats.complete_us -
+                                       result.stats.start_us);
   TraceProto(network_, id_, "session.complete", session->spec.id, -1, 0,
              static_cast<int64_t>(result.stats.rows_received));
 }
@@ -1239,7 +1274,7 @@ void PeerNode::OnSessionDeadline(SessionId session_id) {
   InitiatorState& session = it->second;
   session.deadline_timer = 0;  // it just fired
   if (session.result.done) return;
-  CountProto("proto.session_timeouts");
+  Proto().session_timeouts->Add();
   std::string detail;
   if (!session.plan_received) {
     detail = "no compute plan received (information-gathering phase)";
@@ -1266,14 +1301,14 @@ void PeerNode::ParkUnknownSession(const Message& msg) {
   parked_unknown_session_.push_back(msg);
   if (parked_unknown_session_.size() > kMaxParkedMessages) {
     parked_unknown_session_.pop_front();
-    CountProto("proto.parked_evicted");
+    Proto().parked_evicted->Add();
   }
 }
 
 void PeerNode::FailSession(SessionId id, const Status& status,
                            const std::string& initiator_hint,
                            int64_t timeout_us, int max_retransmits) {
-  CountProto("cover.sessions_failed");
+  Proto().sessions_failed->Add();
   TraceProto(network_, id_, "session.failed", id, -1, -1, 0,
              status.ToString());
   CancelSessionSends(id);
@@ -1319,6 +1354,17 @@ Result<const SessionResult*> PeerNode::GetResult(SessionId session) const {
                             " started at this peer");
   }
   return &it->second.result;
+}
+
+Result<SessionResult> PeerNode::TakeResult(SessionId session) {
+  auto it = initiator_sessions_.find(session);
+  if (it == initiator_sessions_.end()) {
+    return Status::NotFound("no session " + std::to_string(session) +
+                            " started at this peer");
+  }
+  SessionResult result = std::move(it->second.result);
+  initiator_sessions_.erase(it);
+  return result;
 }
 
 }  // namespace hyperion

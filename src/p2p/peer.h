@@ -99,6 +99,11 @@ class PeerNode {
   /// \brief Result of a completed session started at this peer.
   Result<const SessionResult*> GetResult(SessionId session) const;
 
+  /// \brief Moves the result of a session started here out of this peer,
+  /// which then forgets the session.  A caller done with the session gets
+  /// the cover without a copy.
+  Result<SessionResult> TakeResult(SessionId session);
+
   /// \brief Message entry point (wired by Attach).
   void HandleMessage(const Message& msg);
 
@@ -181,10 +186,24 @@ class PeerNode {
     bool is_terminal = false;  // my hop == partition's first hop
     std::vector<std::string> keep_names;    // endpoint attrs kept
     std::vector<std::string> needed_names;  // what downstream-of-me needs
-    FreeTable local;           // join of my member tables
-    // Probe index over `local`, built on the first batch and probed by
+    // The join of my member tables.  A lone member with no semi-join
+    // filter is not copied: `borrowed` shares its table, and local()
+    // reads that table's own rows.
+    FreeTable joined;
+    std::shared_ptr<const MappingTable> borrowed;
+    const FreeTable& local() const {
+      return borrowed ? borrowed->free_table() : joined;
+    }
+    // Probe index over local(), built on the first batch and probed by
     // every later one (rebuilt only if a batch changes schema).
     std::optional<JoinIndex> local_index;
+    // Projection of joined rows onto needed_names, made on the first
+    // rows and kept for the partition's life (remade only if the joined
+    // schema changes).  Without a projector only satisfiability matters:
+    // no needed attribute survives the join.
+    Schema projected_from;
+    std::optional<RowProjector> projector;
+    bool satisfiability_only = false;
     // Every row streamed so far: joined rows are projected straight into
     // it, and only the rows it did not hold yet go onward.
     std::optional<FreeTable> emitted;

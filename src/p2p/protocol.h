@@ -78,7 +78,9 @@ struct SessionResult {
   bool done = false;
   Status error;  // non-OK when the session failed
   MappingTable cover;
-  /// Per-partition covers in plan order (keep attributes only).
+  /// Per-partition covers in plan order (keep attributes only).  With
+  /// SessionOptions::combine_partitions they are moved into `cover` and
+  /// left empty.
   std::vector<FreeTable> partition_covers;
   std::vector<std::vector<std::string>> partition_keep_names;
   std::vector<bool> partition_satisfiable;

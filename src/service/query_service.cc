@@ -325,13 +325,13 @@ Result<MappingTable> QueryService::RunSession(const QueryRequest& request,
                                        request.y_attrs, request.options));
   HYP_ASSIGN_OR_RETURN(int64_t end_time, run());
   (void)end_time;
-  HYP_ASSIGN_OR_RETURN(const SessionResult* result,
-                       peers.front()->GetResult(session));
-  if (!result->done) {
+  HYP_ASSIGN_OR_RETURN(SessionResult result,
+                       peers.front()->TakeResult(session));
+  if (!result.done) {
     return Status::Internal("session did not complete after network drain");
   }
-  if (!result->error.ok()) return result->error;
-  return result->cover;
+  if (!result.error.ok()) return result.error;
+  return std::move(result.cover);
 }
 
 void QueryService::ExecuteFlight(const std::shared_ptr<Flight>& flight) {

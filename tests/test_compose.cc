@@ -16,9 +16,15 @@ namespace {
 
 using testing_util::Canon;
 using testing_util::FiniteAttr;
+using testing_util::IntRow;
+using testing_util::IntSchema;
 using testing_util::JoinExtensions;
+using testing_util::KeyCollider;
+using testing_util::KeyHashOf;
 using testing_util::ProjectExtension;
 using testing_util::RandomTable;
+using testing_util::Renamed;
+using testing_util::RowCollider;
 
 TEST(FreeTableTest, AddRowDedupsAndDropsEmpty) {
   FreeTable t(Schema::Of({FiniteAttr("A", 2)}));
@@ -476,19 +482,6 @@ TEST_P(JoinIndexPropertyTest, ReusedIndexMatchesNaturalJoinPerBatch) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JoinIndexPropertyTest, ::testing::Range(0, 25));
 
-// `row` with its variables renamed by a seeded injective map.
-Mapping Renamed(const Mapping& row, Rng* rng) {
-  VarId offset = static_cast<VarId>(rng->Uniform(1, 50));
-  std::vector<Cell> cells;
-  for (const Cell& c : row.cells()) {
-    cells.push_back(c.is_constant()
-                        ? c
-                        : Cell::Variable(3 * c.var() + offset,
-                                         c.exclusions_ptr()));
-  }
-  return Mapping(std::move(cells));
-}
-
 class FreeTableIndexPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(FreeTableIndexPropertyTest, DedupsUpToVariableRenaming) {
@@ -548,54 +541,6 @@ TEST_P(FreeTableIndexPropertyTest, AdoptionMatchesAddRow) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FreeTableIndexPropertyTest,
                          ::testing::Range(0, 20));
-
-// Collision construction.  hash_util.h's HashCombine is invertible in the
-// combined hash (std::hash<int64_t> is the identity), so the test can
-// solve for the second int of a pair that makes a chosen hash.
-constexpr uint64_t kHashMix = 0x9e3779b97f4a7c15ull;
-uint64_t Combine(uint64_t seed, uint64_t h) {
-  return seed ^ (h + kHashMix + (seed << 12) + (seed >> 4));
-}
-uint64_t Uncombine(uint64_t seed, uint64_t combined) {
-  return (combined ^ seed) - kHashMix - (seed << 12) - (seed >> 4);
-}
-uint64_t ValueHash(int64_t v) { return Combine(1, static_cast<uint64_t>(v)); }
-int64_t ValueWithHash(uint64_t h) {
-  return static_cast<int64_t>(Uncombine(1, h));
-}
-
-// y such that Mapping({Constant(x), Constant(y)}).Hash() == target
-// (Mapping::Hash seeds with the arity; Cell::Hash wraps Value::Hash).
-int64_t RowCollider(int64_t x, uint64_t target) {
-  uint64_t seed = Combine(2, Combine(1, ValueHash(x)));
-  return ValueWithHash(Uncombine(1, Uncombine(seed, target)));
-}
-
-// y such that the join key (x, y) hashes to `target`: JoinIndex combines
-// the shared constants' Value::Hash into a seed of 0.
-int64_t KeyCollider(int64_t x, uint64_t target) {
-  return ValueWithHash(Uncombine(Combine(0, ValueHash(x)), target));
-}
-uint64_t KeyHashOf(int64_t x, int64_t y) {
-  size_t seed = 0;
-  HashCombine(&seed, Value(x));
-  HashCombine(&seed, Value(y));
-  return seed;
-}
-
-Mapping IntRow(std::vector<int64_t> values) {
-  std::vector<Cell> cells;
-  for (int64_t v : values) cells.push_back(Cell::Constant(Value(v)));
-  return Mapping(std::move(cells));
-}
-
-Schema IntSchema(const std::vector<std::string>& names) {
-  std::vector<Attribute> attrs;
-  for (const std::string& n : names) {
-    attrs.emplace_back(n, Domain::AllInts());
-  }
-  return Schema(std::move(attrs));
-}
 
 TEST(FreeTableIndexTest, RowsWithCollidingHashesStayDistinct) {
   const Mapping base = IntRow({7, 11});

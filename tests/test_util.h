@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash_util.h"
 #include "common/random.h"
 #include "core/compose.h"
 #include "core/mapping_table.h"
@@ -128,6 +129,77 @@ inline std::vector<Tuple> ProjectExtension(const std::vector<Tuple>& ext,
   std::vector<Tuple> out;
   for (const Tuple& t : ext) out.push_back(ProjectTuple(t, positions));
   return Canon(std::move(out));
+}
+
+// `row` with its variables renamed by a seeded injective map.
+inline Mapping Renamed(const Mapping& row, Rng* rng) {
+  VarId offset = static_cast<VarId>(rng->Uniform(1, 50));
+  std::vector<Cell> cells;
+  for (const Cell& c : row.cells()) {
+    cells.push_back(c.is_constant()
+                        ? c
+                        : Cell::Variable(3 * c.var() + offset,
+                                         c.exclusions_ptr()));
+  }
+  return Mapping(std::move(cells));
+}
+
+// Collision construction.  hash_util.h's HashCombine is invertible in the
+// combined hash (std::hash<int64_t> is the identity), so the test can
+// solve for the second int of a pair that makes a chosen hash.
+inline constexpr uint64_t kHashMix = 0x9e3779b97f4a7c15ull;
+inline uint64_t Combine(uint64_t seed, uint64_t h) {
+  return seed ^ (h + kHashMix + (seed << 12) + (seed >> 4));
+}
+inline uint64_t Uncombine(uint64_t seed, uint64_t combined) {
+  return (combined ^ seed) - kHashMix - (seed << 12) - (seed >> 4);
+}
+inline uint64_t ValueHash(int64_t v) {
+  return Combine(1, static_cast<uint64_t>(v));
+}
+inline int64_t ValueWithHash(uint64_t h) {
+  return static_cast<int64_t>(Uncombine(1, h));
+}
+
+// v such that Mapping::Hash of the all-constant row prefix ++ (v) is
+// `target` (Mapping::Hash seeds with the arity; Cell::Hash wraps
+// Value::Hash).
+inline int64_t LastCellCollider(const std::vector<int64_t>& prefix,
+                                uint64_t target) {
+  uint64_t seed = prefix.size() + 1;
+  for (int64_t x : prefix) seed = Combine(seed, Combine(1, ValueHash(x)));
+  return ValueWithHash(Uncombine(1, Uncombine(seed, target)));
+}
+
+// y such that Mapping({Constant(x), Constant(y)}).Hash() == target.
+inline int64_t RowCollider(int64_t x, uint64_t target) {
+  return LastCellCollider({x}, target);
+}
+
+// y such that the join key (x, y) hashes to `target`: JoinIndex combines
+// the shared constants' Value::Hash into a seed of 0.
+inline int64_t KeyCollider(int64_t x, uint64_t target) {
+  return ValueWithHash(Uncombine(Combine(0, ValueHash(x)), target));
+}
+inline uint64_t KeyHashOf(int64_t x, int64_t y) {
+  size_t seed = 0;
+  HashCombine(&seed, Value(x));
+  HashCombine(&seed, Value(y));
+  return seed;
+}
+
+inline Mapping IntRow(std::vector<int64_t> values) {
+  std::vector<Cell> cells;
+  for (int64_t v : values) cells.push_back(Cell::Constant(Value(v)));
+  return Mapping(std::move(cells));
+}
+
+inline Schema IntSchema(const std::vector<std::string>& names) {
+  std::vector<Attribute> attrs;
+  for (const std::string& n : names) {
+    attrs.emplace_back(n, Domain::AllInts());
+  }
+  return Schema(std::move(attrs));
 }
 
 }  // namespace testing_util

@@ -5,7 +5,7 @@ against the names actually registered in the source tree.
 Both directions are enforced:
 
   * every dotted name registered in src/ or tools/ (GetCounter /
-    GetGauge / GetHistogram / CountProto / TraceProto /
+    GetGauge / GetHistogram / TraceProto /
     RecordFaultEvent, including names routed through helper wrappers)
     must appear in a backtick span in docs/METRICS.md;
   * every dotted name documented in docs/METRICS.md must still exist in
